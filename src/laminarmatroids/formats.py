@@ -13,12 +13,13 @@ import re
 
 from .constructions import ConstructionScript
 from .errors import ParseError
-from .matroid import HARD_CAP, _index_tuple, build_matroid
+from .matroid import HARD_CAP, build_matroid
 from .presentation import LaminarPresentation
 
 IDENT = re.compile(r"[A-Za-z0-9_']+\Z")
 _SET = re.compile(r"\{([^{}]*)\}\Z")
 _TOKEN = re.compile(r"\{[^{}]*\}|[^\s{}]+")
+_NATURAL = re.compile(r"[0-9]+\Z")
 
 
 def _significant_lines(text):
@@ -76,7 +77,7 @@ def parse_ckt(text, max_n=HARD_CAP):
                 raise ParseError("circuit takes one set", lineno)
             circuits.append(_parse_set(parts[1], lineno))
         elif parts[0] == "rank":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not _NATURAL.match(parts[1]):
                 raise ParseError("rank takes one integer", lineno)
             asserted_rank = (int(parts[1]), lineno)
         else:
@@ -112,45 +113,27 @@ def parse_lam(text):
         if len(parts) != 3:
             raise ParseError("cap takes a set and an integer", lineno)
         members = _parse_set(parts[1], lineno)
-        if not parts[2].isdigit():
+        if not _NATURAL.match(parts[2]):
             raise ParseError(f"bad capacity {parts[2]!r}", lineno)
         caps.append((members, int(parts[2])))
     return LaminarPresentation(ground, caps)
 
 
 def _family_order(p):
-    """Member slots, parents before children, siblings lexicographic."""
-    masks = p._masks
+    """Member slots, parents before children, siblings lexicographic.
+
+    Slots are already in lexicographic order, so this is a preorder walk
+    of the family forest.
+    """
+    kids = p._children_slots()
     order = []
 
     def expand(slots):
-        for i in sorted(slots, key=lambda s: _index_tuple(masks[s])):
+        for i in slots:
             order.append(i)
-            kids = [
-                j
-                for j in range(len(masks))
-                if j != i
-                and masks[j] & masks[i] == masks[j]
-                and _direct(j, i)
-            ]
-            expand(kids)
+            expand(kids[i])
 
-    def _direct(j, i):
-        for k in range(len(masks)):
-            if k in (i, j):
-                continue
-            if masks[k] & masks[i] == masks[k] and masks[j] & masks[k] == masks[j]:
-                return False
-        return True
-
-    roots = [
-        i
-        for i in range(len(masks))
-        if not any(
-            j != i and masks[i] & masks[j] == masks[i] for j in range(len(masks))
-        )
-    ]
-    expand(roots)
+    expand([i for i, parent in enumerate(p._parent_slots()) if parent < 0])
     return order
 
 

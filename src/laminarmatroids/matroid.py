@@ -113,7 +113,7 @@ class ExplicitMatroid:
     construct one with full axiom validation.
     """
 
-    __slots__ = ("ground", "_masks", "_rank")
+    __slots__ = ("ground", "_masks", "_rank", "_cyclic_flats")
 
     def __init__(self, ground, masks, _trusted=False):
         if not _trusted:
@@ -121,6 +121,7 @@ class ExplicitMatroid:
         self.ground = ground
         self._masks = _sort_masks(masks)
         self._rank = None
+        self._cyclic_flats = None
 
     @classmethod
     def _from_masks(cls, ground, masks):
@@ -196,6 +197,8 @@ class ExplicitMatroid:
         tm = self.ground.mask_of(contract)
         if dm & tm:
             raise OverlappingSets(self.ground.set_of(dm & tm))
+        if not dm | tm:
+            return self
         keep = self.ground.full_mask & ~dm & ~tm
         new_ground = GroundSet(self.ground.tuple_of(keep))
         slot = {p: s for s, p in enumerate(_index_tuple(keep))}
@@ -221,29 +224,17 @@ class ExplicitMatroid:
         return out
 
     def simplify(self):
-        """Restriction to the least representative of each parallel class."""
-        loops = self.ground.mask_of(self.loops())
-        parent = list(range(self.n))
+        """Restriction to the least representative of each parallel class.
 
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
+        Drops the largest element of every circuit of size at most two:
+        that is each loop, and each element parallel to a smaller one
+        (parallel classes are cliques of 2-circuits, none through a loop).
+        """
+        drop = 0
         for c in self._masks:
-            if K.popcount(c) == 2 and not (c & loops):
-                i, j = _index_tuple(c)
-                parent[find(j)] = find(i)
-        keep = 0
-        for i in range(self.n):
-            b = 1 << i
-            if b & loops:
-                continue
-            if find(i) == i:
-                keep |= b
-        removed = self.ground.set_of(self.ground.full_mask & ~keep)
-        return self.minor(delete=removed)
+            if K.popcount(c) <= 2:
+                drop |= 1 << (c.bit_length() - 1)
+        return self.minor(delete=self.ground.set_of(drop))
 
     def components(self):
         """Partition of the ground into connectivity blocks.
@@ -281,9 +272,11 @@ class ExplicitMatroid:
 
     def cyclic_flats(self):
         """Flats that are unions of their circuits, smallest first."""
-        masks = K.cyclic_flat_masks(self.n, self._masks)
-        masks.sort(key=lambda m: (K.popcount(m), _index_tuple(m)))
-        return tuple(self.ground.set_of(m) for m in masks)
+        if self._cyclic_flats is None:
+            masks = K.cyclic_flat_masks(self.n, self._masks)
+            masks.sort(key=lambda m: (K.popcount(m), _index_tuple(m)))
+            self._cyclic_flats = tuple(self.ground.set_of(m) for m in masks)
+        return self._cyclic_flats
 
 
 def build_matroid(ground, circuits, max_n=HARD_CAP):

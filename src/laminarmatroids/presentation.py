@@ -26,7 +26,14 @@ from .errors import (
     RankZero,
     TooLarge,
 )
-from .matroid import DESK_CAP, HARD_CAP, ExplicitMatroid, GroundSet, _index_tuple
+from .matroid import (
+    DESK_CAP,
+    HARD_CAP,
+    ExplicitMatroid,
+    GroundSet,
+    _freshen,
+    _index_tuple,
+)
 
 
 class LaminarPresentation:
@@ -263,9 +270,7 @@ class LaminarPresentation:
         taken = set(self.ground.elements)
         renamed = []
         for e in other.ground.elements:
-            f = e
-            while f in taken:
-                f = f + "'"
+            f = _freshen(e, taken)
             taken.add(f)
             renamed.append(f)
         gs = GroundSet(self.ground.elements + tuple(renamed))

@@ -9,13 +9,12 @@ pair or a concrete minor witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from ._backend import kernels as K
 from .constructions import excluded_minor, uniform
 from .errors import MatroidError, TooLarge
 from .matroid import DESK_CAP, has_minor
-from .presentation import canonical_from_matroid
+from .presentation import LaminarPresentation, canonical_from_matroid
 
 
 @dataclass(frozen=True)
@@ -139,25 +138,14 @@ def is_nested(m, max_n=DESK_CAP):
     return NestedVerdict(True, chain=flats)
 
 
-def _side_circuit_masks(ground, block, r):
-    idx = sorted(ground.index(e) for e in block)
-    masks = []
-    if r < len(idx):
-        for combo in combinations(idx, r + 1):
-            x = 0
-            for i in combo:
-                x |= 1 << i
-            masks.append(x)
-    return masks
-
-
 def _pair_shape(m):
     """Detect a truncated direct sum of two uniform matroids.
 
     The candidate split is read off the maximal proper cyclic flats (at
     most two; a missing second side means the leftover elements formed a
-    free summand) and then confirmed by rebuilding the circuit family and
-    comparing it exactly.
+    free summand).  Truncating U(r1, F1) + U(r2, F2) depth times gives the
+    presentation {F1: r1, F2: r2, E: r}, so the split is confirmed by
+    expanding that presentation and comparing it with m exactly.
     """
     whole = frozenset(m.elements)
     proper = [f for f in m.cyclic_flats() if f and f != whole]
@@ -175,14 +163,8 @@ def _pair_shape(m):
     depth = r1 + r2 - m.rank()
     if depth < 1:
         return None
-    cand = _side_circuit_masks(m.ground, f1, r1) + _side_circuit_masks(
-        m.ground, f2, r2
-    )
-    rank = r1 + r2
-    for _ in range(depth):
-        cand = K.truncation_circuits(m.n, cand, rank)
-        rank -= 1
-    if set(cand) != set(m._masks):
+    sides = [(f1, r1), (f2, r2), (whole, m.rank())]
+    if LaminarPresentation(m.ground, sides).to_explicit(m.n) != m:
         return None
     return ((f1, r1), (f2, r2), depth)
 
@@ -199,24 +181,29 @@ def _component_shape(m, block, max_n):
     return ComponentShape(block, "none")
 
 
-def classify_dual_laminar(m, max_n=DESK_CAP):
-    """Both the matroid and its dual laminar?
-
-    The verdict flag comes from the two laminarity tests; the components
-    field reports, per connectivity block, the structural shape (nested,
-    or a truncated direct sum of two uniforms) that characterises the
-    class block by block.
-    """
-    _guard(m, max_n)
+def _dual_laminar(m, laminar, max_n):
     shapes = tuple(
         _component_shape(m, block, max_n) for block in m.components()
     )
-    lam = is_laminar(m, max_n)
-    if not lam:
-        return DualLaminarVerdict(False, shapes, reason="not laminar")
-    if not is_laminar(m.dual(), max_n):
-        return DualLaminarVerdict(False, shapes, reason="dual is not laminar")
-    return DualLaminarVerdict(True, shapes)
+    if all(s.kind != "none" for s in shapes):
+        return DualLaminarVerdict(True, shapes)
+    reason = "dual is not laminar" if laminar else "not laminar"
+    return DualLaminarVerdict(False, shapes, reason=reason)
+
+
+def classify_dual_laminar(m, max_n=DESK_CAP):
+    """Both the matroid and its dual laminar?
+
+    Decided block by block from the connectivity blocks' shapes: M and M*
+    are both laminar exactly when every block is nested or a truncated
+    direct sum of two uniform matroids (Fife and Oxley, "Laminar
+    matroids").  Nested and pair blocks are laminar, and so are direct
+    sums of laminar blocks, so the flag is right for non-laminar hosts
+    too.  The components field reports each block's shape; the laminarity
+    test only picks the reason a "no" carries.
+    """
+    _guard(m, max_n)
+    return _dual_laminar(m, is_laminar(m, max_n), max_n)
 
 
 def _exclusion(m, targets, max_n):
@@ -265,10 +252,12 @@ def excluded_minor_witness(m, max_n=DESK_CAP):
 
 def classify(m, max_n=DESK_CAP):
     """All five class verdicts in one record."""
+    nested = is_nested(m, max_n)
+    laminar = is_laminar(m, max_n)
     return Classification(
-        nested=is_nested(m, max_n),
-        laminar=is_laminar(m, max_n),
-        dual_laminar=classify_dual_laminar(m, max_n),
+        nested=nested,
+        laminar=laminar,
+        dual_laminar=_dual_laminar(m, laminar, max_n),
         binary_laminar=classify_binary_laminar(m, max_n),
         ternary_laminar=classify_ternary_laminar(m, max_n),
     )

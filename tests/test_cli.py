@@ -52,6 +52,22 @@ class TestValidate:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"ground a b\ncap {a} 1\n\xff\n",
+            "ground a b\ncap {a,b} \u00b9\n".encode(),
+        ],
+        ids=["undecodable", "superscript-capacity"],
+    )
+    def test_undecodable_or_non_ascii_input_exit_2(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.lam"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "canon", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestIsLaminar:
     def test_no_with_pair(self, files, capsys):

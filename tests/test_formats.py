@@ -63,6 +63,11 @@ class TestCkt:
         with pytest.raises(ParseError):
             parse_ckt("ground a b\nbasis {a}\n")
 
+    def test_rank_takes_ascii_digits_only(self):
+        with pytest.raises(ParseError) as e:
+            parse_ckt("ground a b c\ncircuit {a,b,c}\nrank \u00b2\n")
+        assert e.value.line == 3
+
     def test_missing_ground(self):
         with pytest.raises(ParseError):
             parse_ckt("circuit {a,b}\n")
@@ -104,8 +109,10 @@ class TestLam:
         assert lines[1:] == ["cap {a,b} 1", "cap {c,d} 1"]
 
     def test_bad_capacity(self):
-        with pytest.raises(ParseError):
-            parse_lam("ground a b\ncap {a} -1\n")
+        # superscript one and Arabic-Indic three are digits to str.isdigit
+        for cap in ("-1", "\u00b9", "\u0663"):
+            with pytest.raises(ParseError):
+                parse_lam(f"ground a b\ncap {{a}} {cap}\n")
 
     def test_unknown_directive(self):
         with pytest.raises(ParseError):

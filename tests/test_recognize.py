@@ -159,12 +159,18 @@ class TestDualLaminar:
 
     def test_flag_matches_two_sided_check(self):
         rng = random.Random(33)
-        for _ in range(40):
-            m = run_script(random_script(rng)).to_explicit()
+        hosts = [run_script(random_script(rng)).to_explicit() for _ in range(40)]
+        # the non-laminar hosts of full_corpus: its random part is laminar
+        hosts += [m for m in named_corpus() if not is_laminar(m)]
+        for m in hosts:
             v = classify_dual_laminar(m)
             assert v.dual_laminar == (
                 bool(is_laminar(m)) and bool(is_laminar(m.dual()))
             )
+            if not v.dual_laminar:
+                assert v.reason == (
+                    "dual is not laminar" if is_laminar(m) else "not laminar"
+                )
 
     def test_structure_condition_agrees_with_dual_route(self):
         rng = random.Random(34)
