@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from ._backend import kernels as K
 from .errors import (
     BadParams,
     EmptyMemberSet,
-    MatroidError,
     NotAChain,
     NotCanonical,
+    TooLarge,
     UndefinedName,
 )
 from .matroid import (
@@ -227,78 +228,79 @@ class _Emitter:
         return name
 
 
-def _cyclic_flat_chain(m):
-    """The cyclic flats sorted by inclusion, or None if incomparable."""
-    flats = sorted(m.cyclic_flats(), key=len)
-    for small, large in zip(flats, flats[1:]):
-        if not small <= large:
-            return None
-    return flats
-
-
-def _emit_chain(m, out, flats):
+def _emit_chain(ground, out, flats):
     """Script for a matroid whose cyclic flats form a chain.
 
-    Walk the chain outward: the new elements of each flat arrive as
-    coloops, then truncations pull the rank down to the flat's rank.
-    Elements beyond the last flat are genuine coloops.  No dsum needed.
+    `flats` holds (mask, rank) pairs along the chain.  Walk it outward:
+    the new elements of each flat arrive as coloops, then truncations
+    pull the rank down to the flat's rank.  Elements beyond the last
+    flat are genuine coloops.  No dsum needed.
     """
     name = out.emit("empty")
     rank = 0
-    done = frozenset()
-    for f in flats:
-        for e in sorted(f - done, key=m.ground.index):
+    done = 0
+    for f, r in flats:
+        for e in ground.tuple_of(f & ~done):
             name = out.emit("coloop", name, e)
             rank += 1
-        for _ in range(rank - m.rank(f)):
+        for _ in range(rank - r):
             name = out.emit("truncate", name)
-        rank = m.rank(f)
+        rank = r
         done = f
-    for e in sorted(frozenset(m.elements) - done, key=m.ground.index):
+    for e in ground.tuple_of(ground.full_mask & ~done):
         name = out.emit("coloop", name, e)
     return name
 
 
-def _deconstruct(m, out, max_n):
-    if m.n == 0:
-        return out.emit("empty")
-    chain = _cyclic_flat_chain(m)
-    if chain is not None:
-        return _emit_chain(m, out, chain)
-    blocks = m.components()
-    if len(blocks) > 1:
-        names = [_deconstruct(m.restrict(b), out, max_n) for b in blocks]
-        acc = names[0]
-        for nm in names[1:]:
-            acc = out.emit("dsum", acc, nm)
-        return acc
-    if m.n == 1:
-        e = m.elements[0]
-        base = out.emit("empty")
-        name = out.emit("coloop", base, e)
-        if m.rank() == 0:
-            name = out.emit("truncate", name)
-        return name
-    canon = canonical_from_matroid(m, max_n)
-    whole = frozenset(m.elements)
-    if whole not in set(canon.members):
-        raise MatroidError("internal: connected matroid without a spanning member")
-    loose = canon.free_part(whole)
-    if loose:
-        e = min(loose, key=m.ground.index)
-        name = _deconstruct(m.minor(delete=(e,)), out, max_n)
-        name = out.emit("coloop", name, e)
-        return out.emit("truncate", name)
-    kids = sorted(
-        canon.children_of(whole),
-        key=lambda a: min(m.ground.index(x) for x in a),
-    )
-    names = [_deconstruct(m.restrict(a), out, max_n) for a in kids]
+def _restrict(p, keep):
+    """Canonical presentation p restricted to a block or a member: the
+    non-loop members inside `keep`, and its loops."""
+    caps = [
+        (p.ground.set_of(a), c)
+        for a, c in zip(p._masks, p._caps)
+        if c and a & keep == a
+    ]
+    loops = p._loop_mask() & keep
+    if loops:
+        caps.append((p.ground.set_of(loops), 0))
+    return LaminarPresentation(GroundSet(p.ground.tuple_of(keep)), caps)
+
+
+def _dsum_all(out, names):
     acc = names[0]
     for nm in names[1:]:
         acc = out.emit("dsum", acc, nm)
-    depth = sum(m.rank(a) for a in kids) - m.rank()
-    for _ in range(depth):
+    return acc
+
+
+def _script(p, out, max_n):
+    """Emit the steps for canonical presentation p; returns their name."""
+    if p.n == 0:
+        return out.emit("empty")
+    masks, caps = p._masks, p._caps
+    loops = p._loop_mask()
+    chain = sorted((i for i, c in enumerate(caps) if c), key=lambda i: K.popcount(masks[i]))
+    if all(masks[i] & masks[j] == masks[i] for i, j in zip(chain, chain[1:])):
+        flats = [(loops, 0)] + [(masks[i] | loops, caps[i]) for i in chain]
+        return _emit_chain(p.ground, out, flats)
+    roots = [masks[i] for i, parent in enumerate(p._parents) if parent < 0 and caps[i]]
+    singles = p.ground.full_mask  # then the loops and coloops
+    for a in roots:
+        singles &= ~a
+    blocks = roots + [1 << e for e in range(p.n) if singles >> e & 1]
+    if len(blocks) > 1:
+        blocks.sort(key=lambda b: b & -b)
+        return _dsum_all(out, [_script(_restrict(p, b), out, max_n) for b in blocks])
+    whole = p._slot[p.ground.full_mask]
+    loose = p._free_mask(whole)
+    if loose:
+        e = p.ground.elements[(loose & -loose).bit_length() - 1]
+        name = _script(canonicalize(p.delete(e), max_n), out, max_n)
+        name = out.emit("coloop", name, e)
+        return out.emit("truncate", name)
+    kids = p._kids[whole]
+    acc = _dsum_all(out, [_script(_restrict(p, masks[k]), out, max_n) for k in kids])
+    for _ in range(sum(caps[k] for k in kids) - caps[whole]):
         acc = out.emit("truncate", acc)
     return acc
 
@@ -306,16 +308,22 @@ def _deconstruct(m, out, max_n):
 def deconstruct(p, max_n=DESK_CAP):
     """Script that rebuilds the matroid of a canonical presentation.
 
-    Free elements peel off first (delete, then COLOOP + TRUNCATE);
-    otherwise the matroid splits as a truncated direct sum over the
-    top-level members.  Components and free elements are taken in
-    identifier order, so output is deterministic.
+    Recurses on canonical presentations along the family forest.  When
+    the non-loop members form a chain, so do the cyclic flats (the loops,
+    then each member joined with the loops), and the script walks that
+    chain.  Otherwise several blocks (the top-level members, each loop
+    and each coloop) combine by DSUM; a free element of the spanning
+    member peels off (delete, then COLOOP + TRUNCATE); or the matroid is
+    a truncated direct sum over the spanning member's children.  Blocks,
+    children and free elements go in identifier order, so output is
+    deterministic.
     """
     if not isinstance(p, CanonicalPresentation):
         raise NotCanonical("deconstruct expects a canonical presentation")
-    m = p.to_explicit(max_n)
+    if p.n > max_n:
+        raise TooLarge(p.n, max_n)
     out = _Emitter()
-    result = _deconstruct(m, out, max_n)
+    result = _script(p, out, max_n)
     return ConstructionScript(steps=tuple(out.steps), result=result)
 
 

@@ -29,15 +29,27 @@ def _significant_lines(text):
             yield lineno, line
 
 
-def _tokens(line):
+def _tokens(lineno, line):
     # keeps {a, b} together even when written with internal spaces
-    return _TOKEN.findall(line)
+    parts = _TOKEN.findall(line)
+    if not parts:
+        raise ParseError(f"expected a directive, got {line!r}", lineno)
+    return parts
 
 
 def _parse_ident(tok, lineno):
     if not IDENT.match(tok):
         raise ParseError(f"bad identifier {tok!r}", lineno)
     return tok
+
+
+def _parse_natural(tok, lineno, message):
+    if _NATURAL.match(tok):
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(message, lineno)
 
 
 def _parse_set(tok, lineno):
@@ -71,15 +83,15 @@ def parse_ckt(text, max_n=HARD_CAP):
     circuits = []
     asserted_rank = None
     for lineno, line in lines[1:]:
-        parts = _tokens(line)
+        parts = _tokens(lineno, line)
         if parts[0] == "circuit":
             if len(parts) != 2:
                 raise ParseError("circuit takes one set", lineno)
             circuits.append(_parse_set(parts[1], lineno))
         elif parts[0] == "rank":
-            if len(parts) != 2 or not _NATURAL.match(parts[1]):
+            if len(parts) != 2:
                 raise ParseError("rank takes one integer", lineno)
-            asserted_rank = (int(parts[1]), lineno)
+            asserted_rank = (_parse_natural(parts[1], lineno, "rank takes one integer"), lineno)
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
     m = build_matroid(ground, circuits, max_n=max_n)
@@ -107,15 +119,13 @@ def parse_lam(text):
     ground = _parse_ground(*lines[0])
     caps = []
     for lineno, line in lines[1:]:
-        parts = _tokens(line)
+        parts = _tokens(lineno, line)
         if parts[0] != "cap":
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
         if len(parts) != 3:
             raise ParseError("cap takes a set and an integer", lineno)
         members = _parse_set(parts[1], lineno)
-        if not _NATURAL.match(parts[2]):
-            raise ParseError(f"bad capacity {parts[2]!r}", lineno)
-        caps.append((members, int(parts[2])))
+        caps.append((members, _parse_natural(parts[2], lineno, f"bad capacity {parts[2]!r}")))
     return LaminarPresentation(ground, caps)
 
 
@@ -125,7 +135,7 @@ def _family_order(p):
     Slots are already in lexicographic order, so this is a preorder walk
     of the family forest.
     """
-    kids = p._children_slots()
+    kids = p._kids
     order = []
 
     def expand(slots):
@@ -133,7 +143,7 @@ def _family_order(p):
             order.append(i)
             expand(kids[i])
 
-    expand([i for i, parent in enumerate(p._parent_slots()) if parent < 0])
+    expand([i for i, parent in enumerate(p._parents) if parent < 0])
     return order
 
 

@@ -5,6 +5,11 @@ every family member A in at most c(A) elements.  The family must be
 laminar: two members either nest or are disjoint.  Presentations are
 immutable values; every operation returns a fresh object.
 
+Each presentation holds its family forest (parent and child slots, and
+the slots by member size), built once beside the laminarity check.
+Rank, circuits and the canonical form are all read off that forest:
+nothing here scans the subsets of the ground.
+
 Canonical presentations are the unique minimal form: one member per
 circuit closure (computed on the loopless part), capacity equal to the
 member's rank, plus the set of loops as an isolated capacity-0 member.
@@ -13,6 +18,7 @@ member's rank, plus the set of loops as an isolated capacity-0 member.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from ._backend import kernels as K
 from .errors import (
@@ -39,13 +45,14 @@ from .matroid import (
 class LaminarPresentation:
     """Validated laminar family plus capacities over an ordered ground."""
 
-    __slots__ = ("ground", "_masks", "_caps")
+    __slots__ = ("ground", "_masks", "_caps", "_slot", "_parents", "_kids", "_order")
 
     def __init__(self, ground, caps):
         """`caps` is a mapping (or iterable of pairs) set -> capacity.
 
         Duplicate sets collapse to their minimum capacity.  Raises
         EmptyMemberSet, NegativeCapacity, ForeignElement, or NotLaminar.
+        The pairwise laminarity check also builds the family forest.
         """
         gs = ground if isinstance(ground, GroundSet) else GroundSet(ground)
         if len(gs) > HARD_CAP:
@@ -66,13 +73,33 @@ class LaminarPresentation:
             else:
                 seen[m] = cap
         masks = sorted(seen, key=_index_tuple)
+        # parents[i]: slot of the least member properly containing slot i
+        # (the members containing one member form a chain)
+        parents = [-1] * len(masks)
         for i, a in enumerate(masks):
-            for b in masks[i + 1 :]:
+            for j in range(i + 1, len(masks)):
+                b = masks[j]
                 inter = a & b
-                if inter and inter != a and inter != b:
+                if not inter:
+                    continue
+                if inter == a:
+                    if parents[i] < 0 or b & masks[parents[i]] == b:
+                        parents[i] = j
+                elif inter == b:
+                    if parents[j] < 0 or a & masks[parents[j]] == a:
+                        parents[j] = i
+                else:
                     raise NotLaminar(gs.set_of(a), gs.set_of(b))
+        kids = [[] for _ in masks]
+        for i, p in enumerate(parents):
+            if p >= 0:
+                kids[p].append(i)
         self._masks = tuple(masks)
         self._caps = tuple(seen[m] for m in masks)
+        self._slot = {m: i for i, m in enumerate(masks)}
+        self._parents = tuple(parents)
+        self._kids = tuple(tuple(k) for k in kids)
+        self._order = tuple(sorted(range(len(masks)), key=lambda i: K.popcount(masks[i])))
 
     @property
     def elements(self):
@@ -83,11 +110,7 @@ class LaminarPresentation:
         return tuple(self.ground.set_of(m) for m in self._masks)
 
     def capacity(self, member):
-        m = self.ground.mask_of(member)
-        for a, c in zip(self._masks, self._caps):
-            if a == m:
-                return c
-        raise MatroidError(f"{set(member)!r} is not a family member")
+        return self._caps[self._slot_of(member)]
 
     @property
     def n(self):
@@ -116,49 +139,93 @@ class LaminarPresentation:
 
     # -- family structure --------------------------------------------------
 
-    def _parent_slots(self):
-        """parent[i] = slot of the smallest member properly containing i."""
-        out = []
-        for i, a in enumerate(self._masks):
-            best = -1
-            for j, b in enumerate(self._masks):
-                if j != i and a & b == a and a != b:
-                    if best < 0 or (b & self._masks[best]) == b:
-                        best = j
-            out.append(best)
-        return out
+    def _slot_of(self, member):
+        m = self.ground.mask_of(member)
+        try:
+            return self._slot[m]
+        except KeyError:
+            raise MatroidError(f"{set(member)!r} is not a family member") from None
 
-    def _children_slots(self):
-        kids = [[] for _ in self._masks]
-        for i, p in enumerate(self._parent_slots()):
-            if p >= 0:
-                kids[p].append(i)
-        return kids
+    def _free_mask(self, slot):
+        m = self._masks[slot]
+        for k in self._kids[slot]:
+            m &= ~self._masks[k]
+        return m
 
     def children_of(self, member):
-        m = self.ground.mask_of(member)
-        slot = self._masks.index(m)
-        kids = self._children_slots()[slot]
+        kids = self._kids[self._slot_of(member)]
         return tuple(self.ground.set_of(self._masks[k]) for k in kids)
 
     def free_part(self, member):
         """Elements of the member that lie in none of its children."""
-        m = self.ground.mask_of(member)
-        slot = self._masks.index(m)
-        for k in self._children_slots()[slot]:
-            m &= ~self._masks[k]
-        return self.ground.set_of(m)
+        return self.ground.set_of(self._free_mask(self._slot_of(member)))
 
     def b_value(self, member):
         """Free-element count plus the capacity sum over the children."""
-        m = self.ground.mask_of(member)
-        slot = self._masks.index(m)
-        inner = m
-        total = 0
-        for k in self._children_slots()[slot]:
-            inner &= ~self._masks[k]
-            total += self._caps[k]
-        return K.popcount(inner) + total
+        slot = self._slot_of(member)
+        total = sum(self._caps[k] for k in self._kids[slot])
+        return K.popcount(self._free_mask(slot)) + total
+
+    def _loop_mask(self):
+        out = 0
+        for a, c in zip(self._masks, self._caps):
+            if c == 0:
+                out |= a
+        return out
+
+    def _split_counts(self):
+        """ways[i][t][k]: the k-subsets of slot i's children t, t+1, ...
+        and its free part that overfill no member below slot i.
+
+        ways[i][0] is the member's counting polynomial; the circuits
+        whose least overfilled member is a top (A, c) are the subsets it
+        counts at k = c + 1.
+        """
+        ways = [None] * len(self._masks)
+        for i in self._order:
+            free = K.popcount(self._free_mask(i))
+            rows = [[comb(free, k) for k in range(free + 1)]]
+            for k in reversed(self._kids[i]):
+                rows.append(_times(ways[k][0][: self._caps[k] + 1], rows[-1]))
+            rows.reverse()
+            ways[i] = rows
+        return ways
+
+    def _circuit_tops(self, ways):
+        """Tops (slot, capacity) with at least one circuit.
+
+        A top is a member whose ancestors all have at least its capacity:
+        exactly the members that can be the least overfilled member of a
+        circuit.
+        """
+        for i, c in enumerate(self._caps):
+            p = self._parents[i]
+            while p >= 0 and self._caps[p] >= c:
+                p = self._parents[p]
+            if p < 0 and c + 1 < len(ways[i][0]) and ways[i][0][c + 1]:
+                yield i, c
+
+    def _circuit_masks(self):
+        """Every circuit once, generated lazily child by child; a size
+        split is tried only when the counts say it can be completed."""
+        ways = self._split_counts()
+        caps = self._caps
+
+        def fill(i, size, t=0):
+            kids = self._kids[i]
+            if t == len(kids):
+                yield from K.submasks_of_size(self._free_mask(i), size)
+                return
+            k = kids[t]
+            inner, rest = ways[k][0], ways[i][t + 1]
+            for j in range(min(caps[k], size, len(inner) - 1) + 1):
+                if inner[j] and size - j < len(rest) and rest[size - j]:
+                    for part in fill(k, j):
+                        for tail in fill(i, size - j, t + 1):
+                            yield part | tail
+
+        for i, c in self._circuit_tops(ways):
+            yield from fill(i, c + 1)
 
     # -- matroid queries ----------------------------------------------------
 
@@ -173,43 +240,39 @@ class LaminarPresentation:
         """Largest independent subset size, by dynamic programming up the
         family forest: a member yields min(capacity, free hits + child sum)."""
         if items is None:
-            x = self.ground.full_mask
-        else:
-            x = self.ground.mask_of(items)
-        kids = self._children_slots()
-        parents = self._parent_slots()
-        order = sorted(range(len(self._masks)), key=lambda i: K.popcount(self._masks[i]))
+            return self._rank_mask(self.ground.full_mask)
+        return self._rank_mask(self.ground.mask_of(items))
+
+    def _rank_mask(self, x):
         f = [0] * len(self._masks)
-        for i in order:
-            inner = self._masks[i] & x
-            total = 0
-            for k in kids[i]:
-                inner &= ~self._masks[k]
-                total += f[k]
-            f[i] = min(self._caps[i], K.popcount(inner) + total)
         top = x
         total = 0
-        for i, p in enumerate(parents):
-            if p < 0:
+        for i in self._order:
+            inner = self._masks[i] & x
+            got = 0
+            for k in self._kids[i]:
+                inner &= ~self._masks[k]
+                got += f[k]
+            f[i] = min(self._caps[i], K.popcount(inner) + got)
+            if self._parents[i] < 0:
                 top &= ~self._masks[i]
                 total += f[i]
         return K.popcount(top) + total
 
     def loop_elements(self):
-        """Elements covered by a zero-rank singleton."""
-        out = 0
-        for i in range(self.n):
-            b = 1 << i
-            if self.rank(self.ground.set_of(b)) == 0:
-                out |= b
-        return self.ground.set_of(out)
+        """Elements of rank zero: those of the capacity-0 members."""
+        return self.ground.set_of(self._loop_mask())
 
     def to_explicit(self, max_n=DESK_CAP):
-        """Exhaustive circuit extraction; guarded by the size cap."""
+        """The circuits, read off the family forest; guarded by the size cap.
+
+        A circuit C has a least overfilled member A, a top; C is then a
+        (c(A)+1)-subset of A overfilling no member below A, and each such
+        subset is a circuit.
+        """
         if self.n > max_n:
             raise TooLarge(self.n, max_n)
-        masks = K.laminar_circuit_masks(self.n, list(self._masks), list(self._caps))
-        return ExplicitMatroid._from_masks(self.ground, masks)
+        return ExplicitMatroid._from_masks(self.ground, list(self._circuit_masks()))
 
     # -- single-element minors ----------------------------------------------
 
@@ -228,7 +291,7 @@ class LaminarPresentation:
     def contract(self, e):
         """Capacities drop by one on members through e; loops just delete."""
         bit = 1 << self.ground.index(e)
-        if self.rank(self.ground.set_of(bit)) == 0:
+        if self._rank_mask(bit) == 0:
             return self.delete(e)
         caps = []
         for a, c in zip(self._masks, self._caps):
@@ -413,68 +476,71 @@ def canonical_from_matroid(m, max_n=DESK_CAP):
     return CanonicalPresentation(m.ground, caps, loop_set, ev)
 
 
-def _pruned(p):
-    """Drop provably inessential members until none remain.
-
-    A member nested inside one of equal or smaller capacity is redundant,
-    as is a member whose capacity reaches its own b-value.  Dropping one
-    member can expose another, so the scan restarts after each removal.
-    """
-    masks = list(p._masks)
-    caps = list(p._caps)
-    changed = True
-    while changed:
-        changed = False
-        drop = -1
-        for i, a in enumerate(masks):
-            for j, b in enumerate(masks):
-                if i != j and a & b == a and caps[i] >= caps[j]:
-                    drop = i
-                    break
-            if drop >= 0:
-                break
-        if drop < 0:
-            for i, a in enumerate(masks):
-                inner = a
-                total = 0
-                for j, b in enumerate(masks):
-                    if j != i and b & a == b:
-                        # direct children only: skip members under another child
-                        nested_deeper = any(
-                            k != i and k != j and masks[k] & a == masks[k]
-                            and b & masks[k] == b
-                            for k in range(len(masks))
-                        )
-                        if not nested_deeper:
-                            inner &= ~b
-                            total += caps[j]
-                if caps[i] >= K.popcount(inner) + total:
-                    drop = i
-                    break
-        if drop >= 0:
-            del masks[drop]
-            del caps[drop]
-            changed = True
-    out = LaminarPresentation.__new__(LaminarPresentation)
-    out.ground = p.ground
-    out._masks = tuple(masks)
-    out._caps = tuple(caps)
-    return out
-
-
 def canonicalize(p, max_n=DESK_CAP):
     """Reduce a presentation to the canonical one for the same matroid.
 
-    Inessential members are pruned first (cheap structural rules), then
-    the circuits are enumerated and regrouped by closure.
+    Read off the family forest, with no circuit enumeration.  The loops
+    are the elements of the capacity-0 members.  Every top (A, c) with
+    c >= 1 and a circuit gives the member cl(A) minus the loops at
+    capacity c: each of its circuits has rank c inside A, so spans A.
+    The evidence of a member is the least circuit of the tops sharing
+    its closure.
     """
     if p.n > max_n:
         raise TooLarge(p.n, max_n)
-    lean = _pruned(p)
-    circuit_masks = K.laminar_circuit_masks(
-        lean.n, list(lean._masks), list(lean._caps)
-    )
-    caps, loop_set, ev = _canonical_from_circuit_masks(
-        p.ground, circuit_masks, max_n
-    )
+    loop_mask = p._loop_mask()
+    family = {}
+    evidence = {}
+    for i, c in p._circuit_tops(p._split_counts()):
+        if c == 0:
+            continue
+        a = p._masks[i]
+        closed = 0
+        for e in range(p.n):
+            if p._rank_mask(a | 1 << e) == c:
+                closed |= 1 << e
+        member = closed & ~loop_mask
+        least = _least_circuit(p, i)
+        family[member] = c
+        if member not in evidence or _index_tuple(least) < _index_tuple(evidence[member]):
+            evidence[member] = least
+    caps = [(p.ground.set_of(a), c) for a, c in family.items()]
+    ev = {p.ground.set_of(a): p.ground.set_of(c) for a, c in evidence.items()}
+    loop_set = p.ground.set_of(loop_mask)
+    if loop_mask:
+        caps.append((loop_set, 0))
+        ev[loop_set] = p.ground.set_of(loop_mask & -loop_mask)
     return CanonicalPresentation(p.ground, caps, loop_set, ev)
+
+
+def _least_circuit(p, slot):
+    """The least circuit, by index tuple, whose least overfilled member is
+    the top at `slot`.
+
+    Its circuits are the (c+1)-subsets of A overfilling no member below
+    A, and those subsets are the independent sets of a matroid truncated
+    to size c + 1; greedy in index order finds the least of them.
+    """
+    a = p._masks[slot]
+    below = [
+        (b, c) for b, c in zip(p._masks, p._caps) if b != a and b & a == b
+    ]
+    size = p._caps[slot] + 1
+    chosen = 0
+    rest = a
+    while K.popcount(chosen) < size:
+        bit = rest & -rest
+        rest ^= bit
+        trial = chosen | bit
+        if all(K.popcount(trial & b) <= c for b, c in below):
+            chosen = trial
+    return chosen
+
+
+def _times(p, q):
+    """Product of two polynomials given as coefficient lists."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out

@@ -163,3 +163,71 @@ def elimination_holds(circuits):
                 if not any(c3 <= rest for c3 in family):
                     return False
     return True
+
+
+def explicit_deconstruct(m):
+    """(steps, result) of the construction script for a laminar matroid,
+    by the recursion on explicit matroids that deconstruct used before it
+    ran on the family forest: cyclic-flat chain, else connectivity
+    blocks, else peel a free element of the spanning member, else split
+    over its children and truncate.
+    """
+    from laminarmatroids import canonical_from_matroid
+
+    steps = []
+
+    def emit(op, *args):
+        name = f"m{len(steps) + 1}"
+        steps.append((op, name) + args)
+        return name
+
+    def dsum_all(names):
+        acc = names[0]
+        for nm in names[1:]:
+            acc = emit("dsum", acc, nm)
+        return acc
+
+    def chain_script(m, flats):
+        name = emit("empty")
+        rank = 0
+        done = frozenset()
+        for f in flats:
+            for e in sorted(f - done, key=m.ground.index):
+                name = emit("coloop", name, e)
+                rank += 1
+            for _ in range(rank - m.rank(f)):
+                name = emit("truncate", name)
+            rank = m.rank(f)
+            done = f
+        for e in sorted(frozenset(m.elements) - done, key=m.ground.index):
+            name = emit("coloop", name, e)
+        return name
+
+    def walk(m):
+        if m.n == 0:
+            return emit("empty")
+        flats = sorted(m.cyclic_flats(), key=len)
+        if is_chain(flats):
+            return chain_script(m, flats)
+        blocks = m.components()
+        if len(blocks) > 1:
+            return dsum_all([walk(m.restrict(b)) for b in blocks])
+        canon = canonical_from_matroid(m, m.n)
+        whole = frozenset(m.elements)
+        loose = canon.free_part(whole)
+        if loose:
+            e = min(loose, key=m.ground.index)
+            name = walk(m.minor(delete=(e,)))
+            name = emit("coloop", name, e)
+            return emit("truncate", name)
+        kids = sorted(
+            canon.children_of(whole),
+            key=lambda a: min(m.ground.index(x) for x in a),
+        )
+        acc = dsum_all([walk(m.restrict(a)) for a in kids])
+        for _ in range(sum(m.rank(a) for a in kids) - m.rank()):
+            acc = emit("truncate", acc)
+        return acc
+
+    result = walk(m)
+    return tuple(steps), result

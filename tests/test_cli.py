@@ -52,6 +52,13 @@ class TestValidate:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("name", ["brace.ckt", "brace.lam"])
+    def test_lone_brace_line_exit_2(self, files, capsys, name):
+        code, out, err = run(capsys, "validate", files(name, "ground a b\n}\n"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 2:")
+
     @pytest.mark.parametrize(
         "data",
         [

@@ -1,0 +1,100 @@
+"""Presentation commands on the family forest against the enumeration
+oracles: the kernel's 2^n circuit scan, the closure-per-circuit canonical
+form, and the explicit-matroid deconstruct recursion."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+import _oracles as oracle
+from _corpus import full_corpus, inflate, random_laminar_presentation, random_script
+from laminarmatroids import (
+    LaminarPresentation,
+    canonicalize,
+    deconstruct,
+    is_laminar,
+    nested_from_chain,
+    run_script,
+)
+from laminarmatroids._backend import kernels as K
+from laminarmatroids.matroid import HARD_CAP
+from laminarmatroids.presentation import _canonical_from_circuit_masks
+
+ACCEPTANCE_SEED = 20260814
+
+
+def _criterion_07_presentations():
+    """The inputs of acceptance criterion 07, as presentations."""
+    rng = random.Random(ACCEPTANCE_SEED + 7)
+    out = [run_script(random_script(rng, n_max=8, dsum=False)) for _ in range(200)]
+    for _ in range(100):
+        n = rng.randint(1, 8)
+        ground = tuple(f"e{i + 1}" for i in range(n))
+        chain, pool = [], []
+        for e in ground:
+            pool.append(e)
+            if rng.random() < 0.4:
+                chain.append(tuple(pool))
+        out.append(nested_from_chain(ground, chain or [tuple(pool)]))
+    for m in full_corpus(random.Random(ACCEPTANCE_SEED), n_random=300, n_cap=8):
+        verdict = is_laminar(m)
+        if verdict:
+            out.append(verdict.presentation)
+    return out
+
+
+@pytest.fixture(scope="module")
+def presentations():
+    rng = random.Random(70)
+    out = []
+    for _ in range(1500):
+        p = random_laminar_presentation(rng, n_max=9)
+        out += [p, inflate(rng, p)[0]]
+    return out + _criterion_07_presentations()
+
+
+def kernel_circuits(p):
+    return K.laminar_circuit_masks(p.n, list(p._masks), list(p._caps))
+
+
+def members_with_caps(p):
+    return {a: p.capacity(a) for a in p.members}
+
+
+def test_to_explicit_matches_kernel_scan(presentations):
+    for p in presentations:
+        assert sorted(p.to_explicit(HARD_CAP)._masks) == sorted(kernel_circuits(p))
+
+
+def test_canonicalize_matches_closure_per_circuit(presentations):
+    for p in presentations:
+        caps, loop_set, evidence = _canonical_from_circuit_masks(
+            p.ground, kernel_circuits(p), HARD_CAP
+        )
+        c = canonicalize(p, HARD_CAP)
+        assert members_with_caps(c) == dict(caps)
+        assert c.evidence == evidence
+        assert c.loop_set == loop_set
+
+
+def test_deconstruct_matches_explicit_recursion(presentations):
+    for p in presentations:
+        script = deconstruct(canonicalize(p, HARD_CAP), HARD_CAP)
+        want = oracle.explicit_deconstruct(p.to_explicit(HARD_CAP))
+        assert (script.steps, script.result) == want
+
+
+def test_dense_sixteen():
+    ground = tuple(f"e{i}" for i in range(1, 17))
+    p = LaminarPresentation(ground, {frozenset(ground[:10]): 5, frozenset(ground): 8})
+    ways = p._split_counts()
+    forest_count = sum(ways[i][0][c + 1] for i, c in p._circuit_tops(ways))
+    m = p.to_explicit(16)
+    # 6-subsets of the ten, plus 9-sets with 3 to 5 of them
+    assert len(m.circuits) == forest_count == 210 + 120 + 1260 + 3780
+    assert sorted(m._masks) == sorted(kernel_circuits(p))
+    c = canonicalize(p, 16)
+    assert members_with_caps(c) == members_with_caps(p)
+    assert run_script(deconstruct(c, 16)).to_explicit(16) == m

@@ -5,9 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _corpus import random_laminar_presentation, random_script
 from laminarmatroids import (
+    MatroidError,
     ParseError,
     TooLarge,
     canonical_from_matroid,
@@ -60,8 +63,16 @@ class TestCkt:
         assert e.value.line == 3
 
     def test_unknown_directive(self):
-        with pytest.raises(ParseError):
-            parse_ckt("ground a b\nbasis {a}\n")
+        # a line holding only a brace has no tokens at all
+        for line in ("basis {a}", "{", "}"):
+            with pytest.raises(ParseError) as e:
+                parse_ckt(f"ground a b\n{line}\n")
+            assert e.value.line == 2
+
+    def test_rank_beyond_int_conversion(self):
+        with pytest.raises(ParseError) as e:
+            parse_ckt("ground a b\nrank " + "9" * 5000 + "\n")
+        assert e.value.line == 2
 
     def test_rank_takes_ascii_digits_only(self):
         with pytest.raises(ParseError) as e:
@@ -110,13 +121,16 @@ class TestLam:
 
     def test_bad_capacity(self):
         # superscript one and Arabic-Indic three are digits to str.isdigit
-        for cap in ("-1", "\u00b9", "\u0663"):
+        # 5000 digits exceed what int() converts from a string
+        for cap in ("-1", "\u00b9", "\u0663", "9" * 5000):
             with pytest.raises(ParseError):
                 parse_lam(f"ground a b\ncap {{a}} {cap}\n")
 
     def test_unknown_directive(self):
-        with pytest.raises(ParseError):
-            parse_lam("ground a b\nmember {a} 1\n")
+        for line in ("member {a} 1", "{", "}"):
+            with pytest.raises(ParseError) as e:
+                parse_lam(f"ground a b\n{line}\n")
+            assert e.value.line == 2
 
 
 class TestMbs:
@@ -155,3 +169,30 @@ class TestMbs:
     def test_deconstruct_output_parses(self):
         s = deconstruct(canonical_from_matroid(uniform(2, 4)))
         assert parse_mbs(render_mbs(s)) == s
+
+
+# Words of all three formats, so generated lines get past the first
+# directive check, plus characters the tokenizer treats specially.
+_WORDS = st.sampled_from(
+    (
+        "ground", "circuit", "rank", "cap", "result", "=", "empty", "coloop",
+        "truncate", "dsum", "a", "b", "c", "m1", "m2", "0", "1", "2", "-1",
+        "{", "}", ",", "{a,b}", "{a}", "{}", "{a, c}", "#", "\u00b2", "\u0663",
+    )
+)
+_LINES = st.lists(_WORDS, max_size=6).map(" ".join)
+_TEXTS = st.one_of(
+    st.text(),
+    st.lists(_LINES, max_size=6).map("\n".join),
+    st.lists(_LINES, max_size=6).map(lambda lines: "\n".join(["ground a b c", *lines])),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_TEXTS)
+def test_parsers_raise_only_matroid_errors(text):
+    for parse in (parse_ckt, parse_lam, parse_mbs):
+        try:
+            parse(text)
+        except MatroidError:
+            pass

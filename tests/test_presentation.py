@@ -18,6 +18,7 @@ from laminarmatroids import (
     ForeignElement,
     LaminarPresentation,
     LoopBase,
+    MatroidError,
     NegativeCapacity,
     NotLaminar,
     RankZero,
@@ -62,6 +63,26 @@ class TestValidation:
     def test_duplicates_collapse_to_min(self):
         p = LaminarPresentation("abc", [(("a", "b"), 2), (("b", "a"), 1)])
         assert members_with_caps(p) == {frozenset("ab"): 1}
+
+
+class TestFamilyForest:
+    NESTED = LaminarPresentation(
+        "abcdef", {frozenset("ab"): 1, frozenset("cd"): 1, frozenset("abcde"): 2}
+    )
+
+    def test_children_free_part_b_value(self):
+        whole = frozenset("abcde")
+        assert self.NESTED.children_of(whole) == (frozenset("ab"), frozenset("cd"))
+        assert self.NESTED.free_part(whole) == frozenset("e")
+        assert self.NESTED.b_value(whole) == 3
+        assert self.NESTED.children_of(frozenset("ab")) == ()
+        assert self.NESTED.b_value(frozenset("ab")) == 2
+
+    def test_non_member_raises_matroid_error(self):
+        p = self.NESTED
+        for query in (p.capacity, p.children_of, p.free_part, p.b_value):
+            with pytest.raises(MatroidError):
+                query(frozenset("abc"))
 
 
 class TestIndependenceAndRank:
