@@ -1,7 +1,7 @@
-"""Benchmark the compiled kernels against the pure-Python twins.
+"""Time the kernels on seven fixed bitmask inputs.
 
-Each workload feeds identical bitmask inputs to both modules and times
-them with perf_counter.  Run from the repository root:
+Each workload is one kernel call, timed with perf_counter; the best of
+--repeat runs is printed.  Run from the repository root:
 
     python3 benchmarks/bench_kernels.py [--repeat N]
 """
@@ -19,11 +19,6 @@ from laminarmatroids import (
     parallel_connection,
     uniform,
 )
-
-try:
-    import laminarmatroids._kernels as compiled
-except ImportError:
-    compiled = None
 
 
 def masks_of(m):
@@ -83,14 +78,13 @@ def workloads():
     ]
 
 
-def timed(fn, module, repeat):
+def timed(fn, repeat):
     best = float("inf")
-    result = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        result = fn(module)
+        fn(pure)
         best = min(best, time.perf_counter() - t0)
-    return best, result
+    return best
 
 
 def main():
@@ -98,21 +92,11 @@ def main():
     ap.add_argument("--repeat", type=int, default=3, help="timing repeats")
     args = ap.parse_args()
 
-    if compiled is None:
-        print("compiled kernels not built; showing pure-Python timings only")
-    header = f"{'workload':<52} {'pure':>9} {'compiled':>9} {'speedup':>8}"
+    header = f"{'workload':<52} {'seconds':>9}"
     print(header)
     print("-" * len(header))
     for name, fn in workloads():
-        tp, rp = timed(fn, pure, args.repeat)
-        if compiled is None:
-            print(f"{name:<52} {tp:>8.4f}s {'-':>9} {'-':>8}")
-            continue
-        tc, rc = timed(fn, compiled, args.repeat)
-        same = "ok" if rp == rc else "MISMATCH"
-        print(
-            f"{name:<52} {tp:>8.4f}s {tc:>8.4f}s {tp / tc:>7.1f}x  {same}"
-        )
+        print(f"{name:<52} {timed(fn, args.repeat):>9.4f}")
 
 
 if __name__ == "__main__":

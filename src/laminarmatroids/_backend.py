@@ -1,22 +1,8 @@
-"""Kernel backend selection.
+"""The kernel module every layer calls through its `K` alias."""
 
-The compiled extension is preferred when importable; set
-LAMINARMATROIDS_PURE=1 to force the pure-Python kernels.
-"""
-
-from __future__ import annotations
-
-import os
-
-if os.environ.get("LAMINARMATROIDS_PURE"):
-    from . import _kernels_py as kernels
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as kernels
+from . import _kernels_py as kernels
 
 
 def backend_name():
-    """Either "compiled" or "python"."""
-    return kernels.BACKEND
+    """The kernel implementation in use; always "python"."""
+    return "python"

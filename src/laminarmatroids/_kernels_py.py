@@ -1,17 +1,13 @@
 """Pure-Python kernels over bitmask-encoded set families.
 
-Every function here has a compiled twin in _kernels.pyx with identical
-semantics and identical enumeration order (subsets of a fixed size are
-visited in ascending bit-pattern order), so results match bit for bit
-whichever backend is active.  Ground sets are limited to 16 elements;
-masks are plain ints with bit i standing for the i-th ground element.
+Masks are plain ints with bit i standing for the i-th ground element;
+callers keep ground sets within the 16-element cap.  Enumeration order is
+part of the output contract: subsets of a fixed size are visited in
+ascending bit-pattern order, and searches return their first witness or
+first violating pair in loop order, which is what the CLI prints.
 """
 
 from __future__ import annotations
-
-BACKEND = "python"
-
-_MAX_N = 16
 
 
 def popcount(x):

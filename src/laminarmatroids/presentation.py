@@ -382,11 +382,6 @@ class LaminarPresentation:
         return self.ground.set_of(chosen)
 
 
-def validate_presentation(ground, caps):
-    """Construct a presentation, raising on any validation failure."""
-    return LaminarPresentation(ground, caps)
-
-
 class CanonicalPresentation(LaminarPresentation):
     """The unique minimal presentation of a laminar matroid.
 

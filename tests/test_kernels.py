@@ -1,24 +1,24 @@
-"""Parity between the compiled kernels and their pure-Python twins.
+"""The kernels against brute force from first definitions.
 
-Every public kernel function is driven with identical inputs through
-both modules; outputs must match exactly, including enumeration order
-and first-witness choices.  Skipped when the extension is not built.
+Every kernel the package calls through its `K` alias is driven on seeded
+pools (named and random matroids, random mask families, random laminar
+presentations, relabelled copies, find-minor hosts and targets) and
+compared with `_oracles`, which works on frozensets of indices and never
+touches a mask.  Enumeration order reaches the CLI's stdout, so the order
+contracts are asserted exactly: submasks and minimal sets come out in
+ascending order, and the axiom checks name the first violation in loop
+order.
 """
 
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
+from itertools import combinations
 
-import pytest
-
-import laminarmatroids._kernels_py as P
+import _oracles as oracle
 from _corpus import named_corpus, random_laminar_presentation, random_script
-from laminarmatroids import run_script
-
-K = pytest.importorskip("laminarmatroids._kernels")
+from laminarmatroids import MinorWitness, apply_witness, run_script
+from laminarmatroids._backend import kernels as K
 
 SEED = 424242
 
@@ -38,116 +38,182 @@ def matroid_pool():
 MATROIDS = matroid_pool()
 
 
-def test_backend_labels():
-    assert P.BACKEND == "python"
-    assert K.BACKEND == "compiled"
-    assert P._MAX_N == K._MAX_N == 16
+def bits(x):
+    return frozenset(i for i in range(x.bit_length()) if x >> i & 1)
+
+
+def mask(items):
+    return sum(1 << i for i in items)
+
+
+def masks(family):
+    return sorted(mask(s) for s in family)
+
+
+def index_form(m):
+    """Ground indices and circuits as index sets."""
+    return tuple(range(m.n)), [bits(c) for c in m._masks]
+
+
+def first_containment(sets):
+    for i, a in enumerate(sets):
+        for j, b in enumerate(sets):
+            if i != j and a <= b:
+                return (i, j)
+    return None
+
+
+def first_elimination_failure(sets):
+    for i, j in combinations(range(len(sets)), 2):
+        for e in sorted(sets[i] & sets[j]):
+            rest = (sets[i] | sets[j]) - {e}
+            if not any(c <= rest for c in sets):
+                return (i, j, e)
+    return None
+
+
+def relabel(cs, perm):
+    return sorted(mask(perm[i] for i in bits(c)) for c in cs)
 
 
 def test_popcount_and_submask_order():
     rng = random.Random(SEED)
     for _ in range(200):
         x = rng.randrange(0, 1 << 16)
-        assert K.popcount(x) == P.popcount(x)
+        assert K.popcount(x) == len(bits(x))
     for _ in range(60):
         u = rng.randrange(0, 1 << 12)
-        for k in range(-1, P.popcount(u) + 2):
-            assert list(K.submasks_of_size(u, k)) == list(
-                P.submasks_of_size(u, k)
-            )
+        items = sorted(bits(u))
+        assert list(K.submasks_of_size(u, -1)) == []
+        for k in range(len(items) + 2):
+            want = masks(combinations(items, k))
+            assert list(K.submasks_of_size(u, k)) == want
 
 
-def test_family_helpers_match():
+def test_family_helpers_and_first_violations():
     rng = random.Random(SEED + 1)
     for _ in range(60):
         fam = mask_pool(rng)
+        sets = [bits(f) for f in fam]
         x = rng.randrange(0, 1 << 10)
-        assert K.contains_member(fam, x) == P.contains_member(fam, x)
-        assert K.minimal_sets(fam) == P.minimal_sets(fam)
-        assert K.verify_antichain(fam) == P.verify_antichain(fam)
-        assert K.verify_elimination(fam, 10) == P.verify_elimination(fam, 10)
+        assert K.contains_member(fam, x) == any(s <= bits(x) for s in sets)
+        minimal = {s for s in sets if not any(t < s for t in sets)}
+        assert K.minimal_sets(fam) == masks(minimal)
+        assert K.verify_antichain(fam) == first_containment(sets)
+        assert K.verify_elimination(fam, 10) == first_elimination_failure(sets)
+        anti = sorted(minimal, key=mask)
+        assert K.verify_antichain([mask(s) for s in anti]) is None
+        assert (K.verify_elimination([mask(s) for s in anti], 10) is None) == (
+            oracle.elimination_holds(anti)
+        )
 
 
-def test_matroid_kernels_match():
+def test_matroid_kernels_agree_with_brute_force():
     rng = random.Random(SEED + 2)
     for m in MATROIDS:
         cs, n, r = list(m._masks), m.n, m.rank()
-        full = (1 << n) - 1
+        elements, circuits = index_form(m)
+        indep = oracle.independent_from_circuits(circuits)
+        assert K.greedy_rank(cs, (1 << n) - 1, n) == oracle.brute_rank(
+            indep, elements
+        )
         for _ in range(8):
-            x = rng.randrange(0, full + 1)
-            assert K.greedy_rank(cs, x, n) == P.greedy_rank(cs, x, n)
-            assert K.closure_mask(cs, x, n) == P.closure_mask(cs, x, n)
-        assert K.verify_antichain(cs) == P.verify_antichain(cs)
-        assert K.verify_elimination(cs, n) == P.verify_elimination(cs, n)
-        assert K.cocircuit_masks(n, cs, r) == P.cocircuit_masks(n, cs, r)
-        assert K.cyclic_flat_masks(n, cs) == P.cyclic_flat_masks(n, cs)
-        if r >= 1:
-            assert K.truncation_circuits(n, cs, r) == P.truncation_circuits(
-                n, cs, r
+            x = rng.randrange(0, 1 << n)
+            assert K.greedy_rank(cs, x, n) == oracle.brute_rank(indep, bits(x))
+            assert bits(K.closure_mask(cs, x, n)) == oracle.brute_closure(
+                elements, indep, bits(x)
             )
-        dm = rng.randrange(0, full + 1)
-        tm = rng.randrange(0, full + 1) & ~dm
-        assert K.minor_circuits(cs, dm, tm) == P.minor_circuits(cs, dm, tm)
+        assert K.verify_antichain(cs) is None
+        assert K.verify_elimination(cs, n) is None
+        if len(cs) > 2:
+            # Dropping a circuit leaves an antichain whose first elimination
+            # failure, if any, lies deep in the pair loop.
+            fewer = cs[: len(cs) // 2] + cs[len(cs) // 2 + 1 :]
+            assert K.verify_elimination(fewer, n) == first_elimination_failure(
+                [bits(c) for c in fewer]
+            )
+        assert sorted(K.cocircuit_masks(n, cs, r)) == masks(
+            oracle.brute_cocircuits(elements, circuits)
+        )
+        assert sorted(K.cyclic_flat_masks(n, cs)) == masks(
+            oracle.brute_cyclic_flats(elements, circuits)
+        )
+        if r >= 1:
+            want = oracle.brute_circuits(
+                elements, lambda s: indep(s) and len(s) < r
+            )
+            assert sorted(K.truncation_circuits(n, cs, r)) == masks(want)
+        dm = rng.randrange(0, 1 << n)
+        tm = rng.randrange(0, 1 << n) & ~dm
+        _, want = oracle.brute_minor(elements, circuits, bits(dm), bits(tm))
+        assert K.minor_circuits(cs, dm, tm) == masks(want)
 
 
-def test_laminar_circuit_masks_match():
+def test_laminar_circuit_masks_agree_with_brute_force():
     rng = random.Random(SEED + 3)
     for _ in range(40):
         p = random_laminar_presentation(rng, n_max=8)
         n = len(p.elements)
         sets = [p.ground.mask_of(a) for a in p.members]
         caps = [p.capacity(a) for a in p.members]
-        assert K.laminar_circuit_masks(n, sets, caps) == P.laminar_circuit_masks(
-            n, sets, caps
+        indep = oracle.laminar_independent(
+            (bits(a), c) for a, c in zip(sets, caps)
         )
+        want = oracle.brute_circuits(range(n), indep)
+        assert sorted(K.laminar_circuit_masks(n, sets, caps)) == masks(want)
 
 
-def test_iso_bijection_matches():
+def check_iso(n, cs1, cs2):
+    got = K.iso_bijection(n, cs1, n, cs2)
+    want = oracle.brute_isomorphism(
+        range(n), [bits(c) for c in cs1], range(n), [bits(c) for c in cs2]
+    )
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert sorted(got) == list(range(n))
+        assert relabel(cs1, got) == sorted(cs2)
+    return got
+
+
+def test_iso_bijection_agrees_with_brute_force():
     rng = random.Random(SEED + 4)
     for m in MATROIDS[:40]:
         cs, n = list(m._masks), m.n
         perm = list(range(n))
         rng.shuffle(perm)
-        relabeled = sorted(
-            sum(1 << perm[i] for i in range(n) if c >> i & 1) for c in cs
-        )
-        assert K.iso_bijection(n, cs, n, relabeled) == P.iso_bijection(
-            n, cs, n, relabeled
-        )
+        assert check_iso(n, cs, relabel(cs, perm)) is not None
         if len(cs) > 1:
-            broken = sorted(cs[:-1] + [cs[-1] ^ 1 ^ (1 << (n - 1))])
-            assert K.iso_bijection(n, cs, n, broken) == P.iso_bijection(
-                n, cs, n, broken
-            )
+            check_iso(n, cs, sorted(cs[:-1] + [cs[-1] ^ 1 ^ (1 << (n - 1))]))
+    small = [m for m in MATROIDS if m.n <= 7]
+    for a, b in zip(small, small[1:]):
+        if a.n == b.n and len(a.circuits) == len(b.circuits):
+            check_iso(a.n, list(a._masks), list(b._masks))
 
 
-def test_find_minor_matches():
+def test_find_minor_agrees_with_brute_force():
     targets = [m for m in MATROIDS if 3 <= m.n <= 5 and m._masks][:6]
     hosts = [m for m in MATROIDS if m.n >= 5][:25]
     for host in hosts:
         cs, n, r = list(host._masks), host.n, host.rank()
+        elements, circuits = index_form(host)
+        indep = oracle.independent_from_circuits(circuits)
         for tgt in targets:
-            got_k = K.find_minor(
-                n, cs, r, tgt.n, list(tgt._masks), tgt.rank()
+            got = K.find_minor(n, cs, r, tgt.n, list(tgt._masks), tgt.rank())
+            want = oracle.brute_has_minor(
+                host.elements, host.circuits, tgt.elements, tgt.circuits
             )
-            got_p = P.find_minor(
-                n, cs, r, tgt.n, list(tgt._masks), tgt.rank()
+            assert (got is not None) == want
+            if got is None:
+                continue
+            dm, tm, perm = got
+            assert oracle.brute_rank(indep, bits(tm)) == len(bits(tm))
+            assert oracle.brute_rank(indep, set(elements) - bits(dm)) == r
+            kept = host.ground.tuple_of(host.ground.full_mask & ~dm & ~tm)
+            witness = MinorWitness(
+                delete=host.ground.set_of(dm),
+                contract=host.ground.set_of(tm),
+                mapping=tuple(
+                    (kept[i], tgt.elements[j]) for i, j in enumerate(perm)
+                ),
             )
-            assert got_k == got_p
-
-
-def test_pure_env_var_forces_python_backend():
-    code = (
-        "from laminarmatroids._backend import backend_name;"
-        "print(backend_name())"
-    )
-    env = dict(os.environ, LAMINARMATROIDS_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert out.stdout.strip() == "python"
-    env.pop("LAMINARMATROIDS_PURE")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert out.stdout.strip() == "compiled"
+            assert apply_witness(host, witness, tgt)

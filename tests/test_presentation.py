@@ -27,7 +27,6 @@ from laminarmatroids import (
     circuit,
     direct_sum,
     uniform,
-    validate_presentation,
 )
 
 GROUND4 = ("a", "b", "c", "d")
@@ -44,7 +43,7 @@ class TestValidation:
 
     def test_crossing_pair_rejected(self):
         with pytest.raises(NotLaminar) as e:
-            validate_presentation("abc", {frozenset("ab"): 1, frozenset("bc"): 1})
+            LaminarPresentation("abc", {frozenset("ab"): 1, frozenset("bc"): 1})
         assert {e.value.first, e.value.second} == {frozenset("ab"), frozenset("bc")}
 
     def test_empty_family_is_free(self):
