@@ -5,6 +5,11 @@ callers keep ground sets within the 16-element cap.  Enumeration order is
 part of the output contract: subsets of a fixed size are visited in
 ascending bit-pattern order, and searches return their first witness or
 first violating pair in loop order, which is what the CLI prints.
+
+Closure is read straight off the circuits (Oxley, *Matroid Theory*, 2nd
+ed., Prop. 1.4.11): e outside X lies in cl(X) iff some circuit C has
+C minus X = {e}.  cyclic_flat_masks tests flatness (cl(F) = F) and
+find_minor tests coindependence (cl(E minus D) = E) by that rule.
 """
 
 from __future__ import annotations
@@ -80,12 +85,14 @@ def greedy_rank(circuits, x, n):
 
 
 def closure_mask(circuits, x, n):
-    r = greedy_rank(circuits, x, n)
+    """x plus the lone outside element of every circuit that leaves x by
+    exactly one element (Oxley, Prop. 1.4.11)."""
+    # n is unused; perfbench/tracing.py keys repeats on (circuits, x, n)
     out = x
-    for i in range(n):
-        b = 1 << i
-        if not (x & b) and greedy_rank(circuits, x | b, n) == r:
-            out |= b
+    for c in circuits:
+        rest = c & ~x
+        if not rest & (rest - 1):
+            out |= rest
     return out
 
 
@@ -198,16 +205,7 @@ def cyclic_flat_masks(n, circuits):
         for c in circuits:
             if c & f == c:
                 union |= c
-        if union != f:
-            continue
-        r = greedy_rank(circuits, f, n)
-        flat = True
-        for i in range(n):
-            b = 1 << i
-            if not (f & b) and greedy_rank(circuits, f | b, n) == r:
-                flat = False
-                break
-        if flat:
+        if union == f and closure_mask(circuits, f, n) == f:
             out.append(f)
     return out
 
@@ -285,10 +283,11 @@ def find_minor(n, circuits, rank, n_target, circuits_target, rank_target):
     """First (delete_mask, contract_mask, bijection) presenting the target
     as a minor, or None.
 
-    Contract sets T are independent, delete sets D are coindependent; any
-    minor admits such a representation.  T ascends over bit patterns, then
-    D ascends over bit patterns disjoint from T; the bijection maps the
-    kept elements (compressed in ascending index order) onto the target.
+    Contract sets T are independent, delete sets D are coindependent (E
+    minus D spans); any minor admits such a representation.  T ascends over
+    bit patterns, then D ascends over bit patterns disjoint from T; the
+    bijection maps the kept elements (compressed in ascending index order)
+    onto the target.
     """
     t = rank - rank_target
     d = n - n_target - t
@@ -301,7 +300,7 @@ def find_minor(n, circuits, rank, n_target, circuits_target, rank_target):
             continue
         contracted = minor_circuits(circuits, 0, tm)
         for dm in submasks_of_size(full & ~tm, d):
-            if greedy_rank(circuits, full & ~dm, n) < rank:
+            if closure_mask(circuits, full & ~dm, n) != full:
                 continue
             cand = [c for c in contracted if not (c & dm)]
             if len(cand) != len(circuits_target):

@@ -8,6 +8,7 @@ bounds every exhaustive computation; 16 is the absolute limit.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -22,6 +23,10 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_SIZE = 3
+
+# ASCII digits only: Fraction() also takes other scripts' digits, `_`
+# separators and exponents, and a huge exponent stalls it
+_WEIGHT = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?(/[0-9]+)?\Z")
 
 
 def _read(path):
@@ -184,9 +189,11 @@ def cmd_maxweight(args):
         if "=" not in part:
             raise UsageError(f"weights look like a=5, got {part!r}")
         name, _, value = part.partition("=")
+        if not _WEIGHT.match(value.strip()):
+            raise UsageError(f"bad weight value {value!r}")
         try:
             weights[name.strip()] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError):  # 1.5/2, 1/0
             raise UsageError(f"bad weight value {value!r}") from None
     chosen = p.max_weight_independent(weights)
     total = sum((weights.get(e, Fraction(0)) for e in chosen), Fraction(0))

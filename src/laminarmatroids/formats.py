@@ -75,7 +75,7 @@ def render_set(ground, items):
 
 
 def parse_ckt(text, max_n=HARD_CAP):
-    """Parse an explicit matroid; an optional rank line is checked."""
+    """Parse an explicit matroid; an optional single rank line is checked."""
     lines = list(_significant_lines(text))
     if not lines:
         raise ParseError("empty input")
@@ -91,6 +91,8 @@ def parse_ckt(text, max_n=HARD_CAP):
         elif parts[0] == "rank":
             if len(parts) != 2:
                 raise ParseError("rank takes one integer", lineno)
+            if asserted_rank is not None:
+                raise ParseError("second rank line", lineno)
             asserted_rank = (_parse_natural(parts[1], lineno, "rank takes one integer"), lineno)
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)

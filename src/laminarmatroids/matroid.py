@@ -113,7 +113,7 @@ class ExplicitMatroid:
     construct one with full axiom validation.
     """
 
-    __slots__ = ("ground", "_masks", "_rank", "_cyclic_flats")
+    __slots__ = ("ground", "_masks", "_rank", "_cyclic_flats", "_closures")
 
     def __init__(self, ground, masks, _trusted=False):
         if not _trusted:
@@ -122,6 +122,7 @@ class ExplicitMatroid:
         self._masks = _sort_masks(masks)
         self._rank = None
         self._cyclic_flats = None
+        self._closures = None
 
     @classmethod
     def _from_masks(cls, ground, masks):
@@ -170,6 +171,14 @@ class ExplicitMatroid:
     def closure(self, items):
         m = K.closure_mask(self._masks, self.ground.mask_of(items), self.n)
         return self.ground.set_of(m)
+
+    def _circuit_closures(self):
+        """Closure mask of each circuit, in storage order; computed once."""
+        if self._closures is None:
+            self._closures = tuple(
+                K.closure_mask(self._masks, c, self.n) for c in self._masks
+            )
+        return self._closures
 
     def loops(self):
         m = 0

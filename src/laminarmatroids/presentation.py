@@ -424,50 +424,34 @@ class CanonicalPresentation(LaminarPresentation):
         return LaminarPresentation(gs, caps)
 
 
-def _canonical_from_circuit_masks(ground, circuit_masks, max_n=DESK_CAP):
-    """Closure-per-circuit canonical data computed from a circuit family.
+def canonical_from_matroid(m, max_n=DESK_CAP):
+    """Canonical presentation of an explicit matroid assumed laminar.
 
-    Only meaningful when the circuits describe a laminar matroid; the
-    caller is responsible for that (or for verifying the result).
+    One member per circuit closure minus the loops, at capacity one less
+    than the circuit's size.  Storage order puts the least circuit of
+    each closure first, and that circuit is the member's evidence.  Only
+    meaningful when m is laminar; the caller is responsible for that (or
+    for verifying the result).
     """
-    n = len(ground)
-    if n > max_n:
-        raise TooLarge(n, max_n)
+    if m.n > max_n:
+        raise TooLarge(m.n, max_n)
     loop_mask = 0
-    for c in circuit_masks:
+    for c in m._masks:
         if K.popcount(c) == 1:
             loop_mask |= c
     family = {}
     evidence = {}
-    for c in circuit_masks:
-        if K.popcount(c) == 1:
-            continue
-        a = K.closure_mask(circuit_masks, c, n) & ~loop_mask
-        cap = K.popcount(c) - 1
-        if a not in family:
-            family[a] = cap
+    for c, closed in zip(m._masks, m._circuit_closures()):
+        a = closed & ~loop_mask
+        if K.popcount(c) > 1 and a not in family:
+            family[a] = K.popcount(c) - 1
             evidence[a] = c
-        else:
-            if _index_tuple(c) < _index_tuple(evidence[a]):
-                evidence[a] = c
-    caps = [(ground.set_of(a), c) for a, c in family.items()]
-    ev = {ground.set_of(a): ground.set_of(c) for a, c in evidence.items()}
-    loop_set = ground.set_of(loop_mask)
+    caps = [(m.ground.set_of(a), c) for a, c in family.items()]
+    ev = {m.ground.set_of(a): m.ground.set_of(c) for a, c in evidence.items()}
+    loop_set = m.ground.set_of(loop_mask)
     if loop_mask:
         caps.append((loop_set, 0))
-        first_loop = min(
-            (c for c in circuit_masks if K.popcount(c) == 1),
-            key=_index_tuple,
-        )
-        ev[loop_set] = ground.set_of(first_loop)
-    return caps, loop_set, ev
-
-
-def canonical_from_matroid(m, max_n=DESK_CAP):
-    """Canonical presentation of an explicit matroid assumed laminar."""
-    caps, loop_set, ev = _canonical_from_circuit_masks(
-        m.ground, list(m._masks), max_n
-    )
+        ev[loop_set] = m.ground.set_of(loop_mask & -loop_mask)
     return CanonicalPresentation(m.ground, caps, loop_set, ev)
 
 

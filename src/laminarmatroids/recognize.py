@@ -106,20 +106,16 @@ def is_laminar(m, max_n=DESK_CAP):
     """
     _guard(m, max_n)
     r = m.rank()
-    non_spanning = [c for c in m._masks if K.popcount(c) <= r]
-    closures = [K.closure_mask(m._masks, c, m.n) for c in non_spanning]
-    for i in range(len(non_spanning)):
+    non_spanning = [
+        (c, a) for c, a in zip(m._masks, m._circuit_closures()) if K.popcount(c) <= r
+    ]
+    for i, (ci, a) in enumerate(non_spanning):
         for j in range(i + 1, len(non_spanning)):
-            if not (non_spanning[i] & non_spanning[j]):
-                continue
-            a, b = closures[i], closures[j]
-            if a & b != a and a & b != b:
+            cj, b = non_spanning[j]
+            if ci & cj and a & b != a and a & b != b:
                 return LaminarVerdict(
                     False,
-                    violating_circuits=(
-                        m.ground.set_of(non_spanning[i]),
-                        m.ground.set_of(non_spanning[j]),
-                    ),
+                    violating_circuits=(m.ground.set_of(ci), m.ground.set_of(cj)),
                 )
     pres = canonical_from_matroid(m, max_n)
     if pres.to_explicit(max_n) != m:

@@ -202,6 +202,14 @@ class TestMaxWeight:
         )
         assert code == 2
 
+    def test_weights_take_plain_ascii_numbers_only(self, files, capsys):
+        # Fraction() would read these as 3, 10 and a 999-digit integer
+        path = files("p.lam", CHAIN_LAM)
+        for value in ("\u0663", "1_0", "1e999"):
+            code, out, err = run(capsys, "maxweight", path, "-w", f"a={value}")
+            assert (code, out) == (2, "")
+            assert "bad weight value" in err
+
 
 class TestSizeCap:
     def test_max_n_exceeded_exit_3(self, files, capsys):

@@ -1,6 +1,7 @@
 """Presentation commands on the family forest against the enumeration
 oracles: the kernel's 2^n circuit scan, the closure-per-circuit canonical
-form, and the explicit-matroid deconstruct recursion."""
+form of the explicit matroid, and the explicit-matroid deconstruct
+recursion."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import _oracles as oracle
 from _corpus import full_corpus, inflate, random_laminar_presentation, random_script
 from laminarmatroids import (
     LaminarPresentation,
+    canonical_from_matroid,
     canonicalize,
     deconstruct,
     is_laminar,
@@ -19,8 +21,7 @@ from laminarmatroids import (
     run_script,
 )
 from laminarmatroids._backend import kernels as K
-from laminarmatroids.matroid import HARD_CAP
-from laminarmatroids.presentation import _canonical_from_circuit_masks
+from laminarmatroids.matroid import HARD_CAP, ExplicitMatroid
 
 ACCEPTANCE_SEED = 20260814
 
@@ -70,13 +71,13 @@ def test_to_explicit_matches_kernel_scan(presentations):
 
 def test_canonicalize_matches_closure_per_circuit(presentations):
     for p in presentations:
-        caps, loop_set, evidence = _canonical_from_circuit_masks(
-            p.ground, kernel_circuits(p), HARD_CAP
-        )
+        m = ExplicitMatroid._from_masks(p.ground, kernel_circuits(p))
+        want = canonical_from_matroid(m, HARD_CAP)
         c = canonicalize(p, HARD_CAP)
-        assert members_with_caps(c) == dict(caps)
-        assert c.evidence == evidence
-        assert c.loop_set == loop_set
+        assert c.members == want.members
+        assert members_with_caps(c) == members_with_caps(want)
+        assert c.evidence == want.evidence
+        assert c.loop_set == want.loop_set
 
 
 def test_deconstruct_matches_explicit_recursion(presentations):

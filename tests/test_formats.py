@@ -79,6 +79,13 @@ class TestCkt:
             parse_ckt("ground a b c\ncircuit {a,b,c}\nrank \u00b2\n")
         assert e.value.line == 3
 
+    def test_second_rank_line(self):
+        # the first rank line is false, the second true; both orders fail
+        for ranks in ("rank 1\nrank 2", "rank 2\nrank 1", "rank 2\nrank 2"):
+            with pytest.raises(ParseError, match="second rank line") as e:
+                parse_ckt(f"ground a b c\ncircuit {{a,b,c}}\n{ranks}\n")
+            assert e.value.line == 4
+
     def test_missing_ground(self):
         with pytest.raises(ParseError):
             parse_ckt("circuit {a,b}\n")
