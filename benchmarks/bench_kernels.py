@@ -35,6 +35,7 @@ def workloads():
     chain_caps = [k for k in range(1, 7)]
 
     c1, n1, r1 = masks_of(host1)
+    closures1 = host1._circuit_closures()
     c2, n2, r2 = masks_of(host2)
     cem3, nem3, rem3 = masks_of(em3)
     cem4, nem4, rem4 = masks_of(em4)
@@ -69,7 +70,7 @@ def workloads():
         ),
         (
             "cyclic_flat_masks (n=11 connected host)",
-            lambda k: k.cyclic_flat_masks(n1, c1),
+            lambda k: k.cyclic_flat_masks(n1, c1, closures1),
         ),
         (
             "iso_bijection (relabeled uniform(5,11))",

@@ -8,8 +8,9 @@ first violating pair in loop order, which is what the CLI prints.
 
 Closure is read straight off the circuits (Oxley, *Matroid Theory*, 2nd
 ed., Prop. 1.4.11): e outside X lies in cl(X) iff some circuit C has
-C minus X = {e}.  cyclic_flat_masks tests flatness (cl(F) = F) and
-find_minor tests coindependence (cl(E minus D) = E) by that rule.
+C minus X = {e}.  cyclic_flat_masks closes joins of circuit closures
+by that rule, and find_minor tests coindependence (cl(E minus D) = E)
+by it.
 """
 
 from __future__ import annotations
@@ -197,17 +198,31 @@ def minor_circuits(circuits, delete_mask, contract_mask):
     return minimal_sets(cand)
 
 
-def cyclic_flat_masks(n, circuits):
-    """Masks that are flats and are unions of the circuits inside them."""
-    out = []
-    for f in range(1 << n):
-        union = 0
-        for c in circuits:
-            if c & f == c:
-                union |= c
-        if union == f and closure_mask(circuits, f, n) == f:
-            out.append(f)
-    return out
+def cyclic_flat_masks(n, circuits, closures):
+    """Cyclic flats in ascending numeric order, as joins of circuit closures.
+
+    `closures` holds cl(C) for every circuit C.  The cyclic flats form a
+    lattice with join cl(X | Y) whose least member is cl(empty), the loop
+    set, and every other one is the join of the closures of its circuits
+    (Bonin and de Mier, Ann. Comb. 12, 2008).  So the worklist joins each
+    new flat with each distinct closure, closing each distinct union once.
+    """
+    atoms = set(closures)
+    flats = {closure_mask(circuits, 0, n)} | atoms
+    seen = set(flats)
+    todo = list(flats)
+    while todo:
+        f = todo.pop()
+        for a in atoms:
+            if f | a in seen:
+                continue
+            seen.add(f | a)
+            g = closure_mask(circuits, f | a, n)
+            if g not in flats:
+                flats.add(g)
+                seen.add(g)
+                todo.append(g)
+    return sorted(flats)
 
 
 def _element_signatures(n, circuits):

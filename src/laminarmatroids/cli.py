@@ -85,16 +85,20 @@ def cmd_explicit(args):
 def cmd_is_laminar(args):
     m = formats.parse_ckt(_read(args.file), max_n=args.max_n)
     verdict = is_laminar(m, max_n=args.max_n)
+    _print_laminar(m, verdict)
+    return EXIT_TRUE if verdict.laminar else EXIT_FALSE
+
+
+def _print_laminar(m, verdict):
     if verdict.laminar:
         print("laminar: yes")
         for line in formats.render_lam(verdict.presentation).splitlines()[1:]:
             print("  " + line)
-        return EXIT_TRUE
-    a, b = verdict.violating_circuits
-    print("laminar: no")
-    print("  circuit " + formats.render_set(m.ground, a))
-    print("  circuit " + formats.render_set(m.ground, b))
-    return EXIT_FALSE
+    else:
+        a, b = verdict.violating_circuits
+        print("laminar: no")
+        print("  circuit " + formats.render_set(m.ground, a))
+        print("  circuit " + formats.render_set(m.ground, b))
 
 
 def cmd_minor(args):
@@ -123,15 +127,7 @@ def cmd_classify(args):
             + " "
             + formats.render_set(m.ground, b)
         )
-    if c.laminar.laminar:
-        print("laminar: yes")
-        for line in formats.render_lam(c.laminar.presentation).splitlines()[1:]:
-            print("  " + line)
-    else:
-        a, b = c.laminar.violating_circuits
-        print("laminar: no")
-        print("  circuit " + formats.render_set(m.ground, a))
-        print("  circuit " + formats.render_set(m.ground, b))
+    _print_laminar(m, c.laminar)
     if c.dual_laminar.dual_laminar:
         print("dual-laminar: yes")
     else:

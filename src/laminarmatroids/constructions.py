@@ -348,7 +348,7 @@ def binary_component(n, plan=(), max_n=DESK_CAP):
     return pres.to_explicit(max_n)
 
 
-def ternary_component(n, k, max_n=DESK_CAP):
+def ternary_component(n, k):
     """An n-circuit 2-summed with k copies of U(2, 4) at distinct elements."""
     if n < 3:
         raise BadParams(f"ternary_component needs n >= 3, got {n}")

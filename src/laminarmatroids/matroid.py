@@ -173,19 +173,28 @@ class ExplicitMatroid:
         return self.ground.set_of(m)
 
     def _circuit_closures(self):
-        """Closure mask of each circuit, in storage order; computed once."""
+        """Closure mask of each circuit, in storage order; computed once.
+
+        A circuit spans exactly when it has rank() + 1 elements, so its
+        closure is the whole ground without a kernel call.
+        """
         if self._closures is None:
+            r, full = self.rank(), self.ground.full_mask
             self._closures = tuple(
-                K.closure_mask(self._masks, c, self.n) for c in self._masks
+                full if K.popcount(c) > r else K.closure_mask(self._masks, c, self.n)
+                for c in self._masks
             )
         return self._closures
 
-    def loops(self):
+    def _loop_mask(self):
         m = 0
         for c in self._masks:
             if K.popcount(c) == 1:
                 m |= c
-        return self.ground.set_of(m)
+        return m
+
+    def loops(self):
+        return self.ground.set_of(self._loop_mask())
 
     def coloops(self):
         m = 0
@@ -248,33 +257,26 @@ class ExplicitMatroid:
     def components(self):
         """Partition of the ground into connectivity blocks.
 
-        Elements are related when a circuit contains both; loops and
-        coloops end up in singleton blocks.
+        Elements are related when a circuit contains both, an equivalence
+        (Oxley, *Matroid Theory*, Prop. 4.1.2), so each block is a union of
+        meeting circuits; loops and coloops end up in singleton blocks.
+        Blocks come in order of their least element.
         """
-        parent = list(range(self.n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
+        blocks = []
         for c in self._masks:
-            idx = _index_tuple(c)
-            for j in idx[1:]:
-                ra, rb = find(idx[0]), find(j)
-                if ra != rb:
-                    parent[rb] = ra
-        blocks = {}
-        for i in range(self.n):
-            blocks.setdefault(find(i), []).append(i)
-        out = []
-        for root in sorted(blocks, key=lambda r: min(blocks[r])):
-            m = 0
-            for i in blocks[root]:
-                m |= 1 << i
-            out.append(self.ground.set_of(m))
-        return tuple(out)
+            rest = []
+            for b in blocks:
+                if b & c:
+                    c |= b
+                else:
+                    rest.append(b)
+            blocks = rest + [c]
+        uncovered = self.ground.full_mask
+        for b in blocks:
+            uncovered &= ~b
+        blocks += [1 << i for i in _index_tuple(uncovered)]
+        blocks.sort(key=lambda b: b & -b)
+        return tuple(self.ground.set_of(b) for b in blocks)
 
     def is_connected(self):
         return len(self.components()) <= 1
@@ -282,7 +284,7 @@ class ExplicitMatroid:
     def cyclic_flats(self):
         """Flats that are unions of their circuits, smallest first."""
         if self._cyclic_flats is None:
-            masks = K.cyclic_flat_masks(self.n, self._masks)
+            masks = K.cyclic_flat_masks(self.n, self._masks, self._circuit_closures())
             masks.sort(key=lambda m: (K.popcount(m), _index_tuple(m)))
             self._cyclic_flats = tuple(self.ground.set_of(m) for m in masks)
         return self._cyclic_flats
@@ -318,20 +320,22 @@ def build_matroid(ground, circuits, max_n=HARD_CAP):
     return ExplicitMatroid._from_masks(gs, masks)
 
 
-def _freshen(name, taken):
-    while name in taken:
-        name = name + "'"
-    return name
+def _fresh_names(taken, names):
+    """`names` in order, each primed until it collides with nothing in
+    `taken` and no earlier name."""
+    taken = set(taken)
+    out = []
+    for name in names:
+        while name in taken:
+            name = name + "'"
+        taken.add(name)
+        out.append(name)
+    return out
 
 
 def direct_sum(m1, m2):
     """Disjoint union; colliding identifiers from the right get primes."""
-    taken = set(m1.elements)
-    renamed = []
-    for e in m2.elements:
-        f = _freshen(e, taken)
-        taken.add(f)
-        renamed.append(f)
+    renamed = _fresh_names(m1.elements, m2.elements)
     ground = GroundSet(m1.elements + tuple(renamed))
     if len(ground) > HARD_CAP:
         raise TooLarge(len(ground), HARD_CAP)
@@ -359,16 +363,9 @@ def parallel_connection(m1, m2, p1, p2):
     m2.ground.index(p2)
     _check_basepoint(m1, p1)
     _check_basepoint(m2, p2)
-    taken = set(m1.elements)
-    mapping = {}
-    names = []
-    for e in m2.elements:
-        if e == p2:
-            continue
-        f = _freshen(e, taken)
-        taken.add(f)
-        mapping[e] = f
-        names.append(f)
+    others = [e for e in m2.elements if e != p2]
+    names = _fresh_names(m1.elements, others)
+    mapping = dict(zip(others, names))
     ground = GroundSet(m1.elements + tuple(names))
     if len(ground) > HARD_CAP:
         raise TooLarge(len(ground), HARD_CAP)

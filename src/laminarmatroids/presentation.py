@@ -37,7 +37,7 @@ from .matroid import (
     HARD_CAP,
     ExplicitMatroid,
     GroundSet,
-    _freshen,
+    _fresh_names,
     _index_tuple,
 )
 
@@ -259,10 +259,6 @@ class LaminarPresentation:
                 total += f[i]
         return K.popcount(top) + total
 
-    def loop_elements(self):
-        """Elements of rank zero: those of the capacity-0 members."""
-        return self.ground.set_of(self._loop_mask())
-
     def to_explicit(self, max_n=DESK_CAP):
         """The circuits, read off the family forest; guarded by the size cap.
 
@@ -330,12 +326,7 @@ class LaminarPresentation:
 
     def direct_sum(self, other):
         """Side-by-side union; right-hand identifiers get primes on collision."""
-        taken = set(self.ground.elements)
-        renamed = []
-        for e in other.ground.elements:
-            f = _freshen(e, taken)
-            taken.add(f)
-            renamed.append(f)
+        renamed = _fresh_names(self.ground.elements, other.ground.elements)
         gs = GroundSet(self.ground.elements + tuple(renamed))
         if len(gs) > HARD_CAP:
             raise TooLarge(len(gs), HARD_CAP)
@@ -435,10 +426,7 @@ def canonical_from_matroid(m, max_n=DESK_CAP):
     """
     if m.n > max_n:
         raise TooLarge(m.n, max_n)
-    loop_mask = 0
-    for c in m._masks:
-        if K.popcount(c) == 1:
-            loop_mask |= c
+    loop_mask = m._loop_mask()
     family = {}
     evidence = {}
     for c, closed in zip(m._masks, m._circuit_closures()):
@@ -446,13 +434,7 @@ def canonical_from_matroid(m, max_n=DESK_CAP):
         if K.popcount(c) > 1 and a not in family:
             family[a] = K.popcount(c) - 1
             evidence[a] = c
-    caps = [(m.ground.set_of(a), c) for a, c in family.items()]
-    ev = {m.ground.set_of(a): m.ground.set_of(c) for a, c in evidence.items()}
-    loop_set = m.ground.set_of(loop_mask)
-    if loop_mask:
-        caps.append((loop_set, 0))
-        ev[loop_set] = m.ground.set_of(loop_mask & -loop_mask)
-    return CanonicalPresentation(m.ground, caps, loop_set, ev)
+    return _canonical(m.ground, family, evidence, loop_mask)
 
 
 def canonicalize(p, max_n=DESK_CAP):
@@ -483,13 +465,20 @@ def canonicalize(p, max_n=DESK_CAP):
         family[member] = c
         if member not in evidence or _index_tuple(least) < _index_tuple(evidence[member]):
             evidence[member] = least
-    caps = [(p.ground.set_of(a), c) for a, c in family.items()]
-    ev = {p.ground.set_of(a): p.ground.set_of(c) for a, c in evidence.items()}
-    loop_set = p.ground.set_of(loop_mask)
+    return _canonical(p.ground, family, evidence, loop_mask)
+
+
+def _canonical(ground, family, evidence, loop_mask):
+    """The canonical presentation from member -> capacity and member ->
+    evidence circuit masks, plus the loop set as a capacity-0 member
+    whose evidence is its least loop."""
+    caps = [(ground.set_of(a), c) for a, c in family.items()]
+    ev = {ground.set_of(a): ground.set_of(c) for a, c in evidence.items()}
+    loop_set = ground.set_of(loop_mask)
     if loop_mask:
         caps.append((loop_set, 0))
-        ev[loop_set] = p.ground.set_of(loop_mask & -loop_mask)
-    return CanonicalPresentation(p.ground, caps, loop_set, ev)
+        ev[loop_set] = ground.set_of(loop_mask & -loop_mask)
+    return CanonicalPresentation(ground, caps, loop_set, ev)
 
 
 def _least_circuit(p, slot):

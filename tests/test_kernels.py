@@ -17,7 +17,13 @@ from itertools import combinations
 
 import _oracles as oracle
 from _corpus import named_corpus, random_laminar_presentation, random_script
-from laminarmatroids import MinorWitness, apply_witness, run_script
+from laminarmatroids import (
+    MinorWitness,
+    apply_witness,
+    direct_sum,
+    run_script,
+    uniform,
+)
 from laminarmatroids._backend import kernels as K
 
 SEED = 424242
@@ -138,8 +144,15 @@ def test_matroid_kernels_agree_with_brute_force():
         assert sorted(K.cocircuit_masks(n, cs, r)) == masks(
             oracle.brute_cocircuits(elements, circuits)
         )
-        assert sorted(K.cyclic_flat_masks(n, cs)) == masks(
+        assert K.cyclic_flat_masks(n, cs, m._circuit_closures()) == masks(
             oracle.brute_cyclic_flats(elements, circuits)
+        )
+        # blocks: the classes of "e = f or some circuit holds both"
+        share = {
+            frozenset({e}).union(*(c for c in circuits if e in c)) for e in elements
+        }
+        assert [bits(m.ground.mask_of(b)) for b in m.components()] == sorted(
+            share, key=min
         )
         if r >= 1:
             want = oracle.brute_circuits(
@@ -150,6 +163,21 @@ def test_matroid_kernels_agree_with_brute_force():
         tm = rng.randrange(0, 1 << n) & ~dm
         _, want = oracle.brute_minor(elements, circuits, bits(dm), bits(tm))
         assert K.minor_circuits(cs, dm, tm) == masks(want)
+
+
+def test_cyclic_flats_of_a_direct_sum_are_the_unions_of_blocks():
+    # a pair, a triangle and two more pairs: 2**4 cyclic flats
+    m = direct_sum(uniform(1, 2), uniform(2, 3))
+    for _ in range(2):
+        m = direct_sum(m, uniform(1, 2))
+    elements, circuits = index_form(m)
+    want = oracle.brute_cyclic_flats(elements, circuits)
+    assert len(want) == 16
+    got = K.cyclic_flat_masks(m.n, list(m._masks), m._circuit_closures())
+    assert got == masks(want)
+    assert [bits(m.ground.mask_of(f)) for f in m.cyclic_flats()] == sorted(
+        want, key=lambda f: (len(f), sorted(f))
+    )
 
 
 def test_laminar_circuit_masks_agree_with_brute_force():
