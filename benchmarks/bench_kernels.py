@@ -1,4 +1,4 @@
-"""Time the kernels on seven fixed bitmask inputs.
+"""Time the kernels on eight fixed bitmask inputs.
 
 Each workload is one kernel call, timed with perf_counter; the best of
 --repeat runs is printed.  Run from the repository root:
@@ -31,16 +31,23 @@ def workloads():
     em3, em4 = excluded_minor(3), excluded_minor(4)
     u511 = uniform(5, 11)
     u410 = uniform(4, 10)
+    u816 = uniform(8, 16)
+    # six parallel pairs and a triangle: 2**7 cyclic flats
+    blocks = uniform(2, 3)
+    for _ in range(6):
+        blocks = direct_sum(blocks, uniform(1, 2))
     chain_sets = [(1 << k) - 1 for k in range(2, 13, 2)]
     chain_caps = [k for k in range(1, 7)]
 
     c1, n1, r1 = masks_of(host1)
-    closures1 = host1._circuit_closures()
+    cb, nb, _ = masks_of(blocks)
+    closures_b = blocks._circuit_closures()
     c2, n2, r2 = masks_of(host2)
     cem3, nem3, rem3 = masks_of(em3)
     cem4, nem4, rem4 = masks_of(em4)
     c511, n511, r511 = masks_of(u511)
     c410, n410, r410 = masks_of(u410)
+    c816, n816, _ = masks_of(u816)
 
     relabel = [(i * 7 + 3) % n511 for i in range(n511)]
     shuffled = sorted(
@@ -69,12 +76,16 @@ def workloads():
             lambda k: k.laminar_circuit_masks(12, chain_sets, chain_caps),
         ),
         (
-            "cyclic_flat_masks (n=11 connected host)",
-            lambda k: k.cyclic_flat_masks(n1, c1, closures1),
+            "cyclic_flat_masks (n=15 direct sum, 128 flats)",
+            lambda k: k.cyclic_flat_masks(nb, cb, closures_b),
         ),
         (
             "iso_bijection (relabeled uniform(5,11))",
             lambda k: k.iso_bijection(n511, c511, n511, shuffled),
+        ),
+        (
+            "circuit_family_rank (11440 circuits, n=16)",
+            lambda k: k.circuit_family_rank(c816, n816),
         ),
     ]
 

@@ -11,6 +11,13 @@ ed., Prop. 1.4.11): e outside X lies in cl(X) iff some circuit C has
 C minus X = {e}.  cyclic_flat_masks closes joins of circuit closures
 by that rule, and find_minor tests coindependence (cl(E minus D) = E)
 by it.
+
+Circuit families are validated on bitmaps: a family of masks on n
+elements is one int of 2**n bits, bit x set when mask x is a member.
+Up-closure is n shift-or steps, one per element (the zeta transform over
+the subset lattice; Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier
+meets Mobius", STOC 2007).  verify_antichain and verify_elimination only
+name the first violation once the bitmap check has said no.
 """
 
 from __future__ import annotations
@@ -97,8 +104,102 @@ def closure_mask(circuits, x, n):
     return out
 
 
+_TABLES = {}
+
+
+def _tables(n):
+    """(notbit, layers) for n elements, built once per n.
+
+    notbit[i] marks the masks without element i and layers[k] the masks
+    of size k, both as bitmaps over the 2**n masks.
+    """
+    t = _TABLES.get(n)
+    if t is None:
+        size = 1 << n
+        notbit = []
+        for i in range(n):
+            pattern, span = (1 << (1 << i)) - 1, 2 << i
+            while span < size:
+                pattern |= pattern << span
+                span <<= 1
+            notbit.append(pattern)
+        layers = [1]
+        for i in range(n):
+            layers = [a | b << (1 << i) for a, b in zip(layers + [0], [0] + layers)]
+        t = _TABLES[n] = (notbit, layers)
+    return t
+
+
+def _up(bitmap, notbit):
+    """Bitmap of every superset of a member of `bitmap`."""
+    for i, nb in enumerate(notbit):
+        bitmap |= (bitmap & nb) << (1 << i)
+    return bitmap
+
+
+def antichain_dependents(circuits, n):
+    """Bitmap of the supersets of `circuits`, or None when the masks repeat
+    or one lies inside another.
+
+    A strict superset of a member still contains it after losing some
+    element, so the strict supersets are the dependent sets, each grown by
+    one element.
+    """
+    notbit, _ = _tables(n)
+    raw = bytearray(((1 << n) + 7) >> 3)
+    for c in circuits:
+        raw[c >> 3] |= 1 << (c & 7)
+    members = int.from_bytes(raw, "little")
+    if members.bit_count() != len(circuits):
+        return None
+    dep = _up(members, notbit)
+    above = 0
+    for i, nb in enumerate(notbit):
+        above |= (dep & nb) << (1 << i)
+    if members & above:
+        return None
+    return dep
+
+
+def circuit_family_rank(circuits, n):
+    """Rank of the matroid whose circuits are `circuits` (nonempty masks on
+    n elements), or None when they are no matroid's circuits.
+
+    The independent sets I are the masks outside the dependent-set bitmap,
+    and R_k, the up-closure of I's size-k layer, holds exactly the X with
+    r(X) >= k.  An antichain is a circuit family exactly when that rank
+    is locally submodular: no X, e, f with r(X) = r(X+e) = r(X+f) <
+    r(X+e+f) (Oxley, *Matroid Theory*, 2nd ed., Ch. 1).  That is one AND
+    of shifted bitmaps per rank k and pair e < f.
+    """
+    dep = antichain_dependents(circuits, n)
+    if dep is None:
+        return None
+    notbit, layers = _tables(n)
+    indep = ~dep
+    below = (1 << (1 << n)) - 1  # R_0 holds every X
+    k = 1
+    while k <= n and indep & layers[k]:
+        at = _up(indep & layers[k], notbit)
+        # up[e] at X: X+e in R_k; flat[e] at X: X avoids e, r(X) = r(X+e) = k-1
+        up = [at >> (1 << e) for e in range(n)]
+        flat = [below & notbit[e] & ~up[e] for e in range(n)]
+        for e in range(n):
+            if not flat[e]:
+                continue
+            for f in range(e + 1, n):
+                if flat[e] & flat[f] & up[e] >> (1 << f):
+                    return None
+        below = at
+        k += 1
+    return k - 1
+
+
 def verify_antichain(circuits):
-    """Index pair (i, j) with circuit i inside circuit j, or None."""
+    """Index pair (i, j) with circuit i inside circuit j, or None.
+
+    Error naming only: circuit_family_rank decides validity.
+    """
     for i, ci in enumerate(circuits):
         for j, cj in enumerate(circuits):
             if i != j and ci & cj == ci:
@@ -109,8 +210,9 @@ def verify_antichain(circuits):
 def verify_elimination(circuits, n):
     """First elimination-axiom violation as (i, j, element index), or None.
 
-    Dependence results are memoised per mask; distinct union masks are
-    bounded by 2**n, which keeps the pair loop tractable.
+    Error naming only: circuit_family_rank decides validity, and this scan
+    names the first failing pair in loop order.  Dependence results are
+    memoised per mask; distinct union masks are bounded by 2**n.
     """
     memo = {}
     for i, ci in enumerate(circuits):

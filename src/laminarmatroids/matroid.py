@@ -4,7 +4,8 @@ A matroid is held as its ground set (an ordered tuple of identifier
 strings) plus the family of circuits, encoded internally as bitmasks.
 The ground order doubles as the identifier order used for every
 deterministic output and greedy tie-break.  Ground sets are capped at 16
-elements; construction validates the circuit axioms exhaustively.
+elements; construction decides the circuit axioms on one bitmap of the
+2**n subsets and names the first violating pair when they fail.
 """
 
 from __future__ import annotations
@@ -293,31 +294,30 @@ class ExplicitMatroid:
 def build_matroid(ground, circuits, max_n=HARD_CAP):
     """Validated construction from an iterable of circuits.
 
-    Checks the cap, membership, the antichain condition, and circuit
-    elimination exhaustively.
+    Checks the cap, membership and the circuit axioms.  One dependent-set
+    bitmap decides the axioms and gives the rank; only a rejected family
+    is rescanned pair by pair, to name its first violation.
     """
     gs = ground if isinstance(ground, GroundSet) else GroundSet(ground)
     cap = min(max_n, HARD_CAP)
     if len(gs) > cap:
         raise TooLarge(len(gs), cap)
-    masks = []
+    masks = set()
     for c in circuits:
         m = gs.mask_of(c)
         if m == 0:
             raise MatroidError("the empty set cannot be a circuit")
-        masks.append(m)
-    masks = _sort_masks(set(masks))
-    bad = K.verify_antichain(masks)
-    if bad is not None:
-        i, j = bad
+        masks.add(m)
+    out = ExplicitMatroid._from_masks(gs, masks)
+    out._rank = K.circuit_family_rank(out._masks, len(gs))
+    if out._rank is not None:
+        return out
+    masks = out._masks
+    if K.antichain_dependents(masks, len(gs)) is None:
+        i, j = K.verify_antichain(masks)
         raise NotAnAntichain(gs.set_of(masks[i]), gs.set_of(masks[j]))
-    bad = K.verify_elimination(masks, len(gs))
-    if bad is not None:
-        i, j, e = bad
-        raise EliminationFails(
-            gs.set_of(masks[i]), gs.set_of(masks[j]), gs.elements[e]
-        )
-    return ExplicitMatroid._from_masks(gs, masks)
+    i, j, e = K.verify_elimination(masks, len(gs))
+    raise EliminationFails(gs.set_of(masks[i]), gs.set_of(masks[j]), gs.elements[e])
 
 
 def _fresh_names(taken, names):

@@ -225,6 +225,12 @@ class TestSizeCap:
         assert code == 0
 
 
+    def test_dense_sixteen_element_ckt_validates(self, files, capsys):
+        path = files("u8_16.ckt", render_ckt(uniform(8, 16)))
+        code, out, _ = run(capsys, "validate", path, "--max-n", "16")
+        assert (code, out) == (0, "ok explicit-matroid n=16 rank=8 circuits=11440\n")
+
+
 class TestDeterminism:
     def test_identical_bytes(self, files, capsys):
         path = files("em3.ckt", EM3_CKT)

@@ -7,7 +7,9 @@ compared with `_oracles`, which works on frozensets of indices and never
 touches a mask.  Enumeration order reaches the CLI's stdout, so the order
 contracts are asserted exactly: submasks and minimal sets come out in
 ascending order, and the axiom checks name the first violation in loop
-order.
+order.  The dependent-set bitmap verdict (circuit_family_rank) is checked
+against those pair scans on the same pools and on Hypothesis-drawn
+families.
 """
 
 from __future__ import annotations
@@ -15,16 +17,24 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import _oracles as oracle
 from _corpus import named_corpus, random_laminar_presentation, random_script
 from laminarmatroids import (
+    EliminationFails,
     MinorWitness,
+    NotAnAntichain,
     apply_witness,
+    build_matroid,
     direct_sum,
     run_script,
     uniform,
 )
 from laminarmatroids._backend import kernels as K
+from laminarmatroids.matroid import _sort_masks
 
 SEED = 424242
 
@@ -112,6 +122,95 @@ def test_family_helpers_and_first_violations():
         assert (K.verify_elimination([mask(s) for s in anti], 10) is None) == (
             oracle.elimination_holds(anti)
         )
+
+
+def check_bitmap_verdict(fam, n):
+    """The bitmap kernels against the pair scans on one family."""
+    rank = K.circuit_family_rank(fam, n)
+    assert (rank is not None) == (
+        K.verify_antichain(fam) is None and K.verify_elimination(fam, n) is None
+    )
+    if rank is not None:
+        assert rank == K.greedy_rank(fam, (1 << n) - 1, n)
+    assert (K.antichain_dependents(fam, n) is None) == (
+        K.verify_antichain(fam) is not None
+    )
+
+
+def scan_error(stored, names):
+    """The error type and fields the pair scans name on a failing family."""
+    bad = K.verify_antichain(stored)
+    if bad is not None:
+        return NotAnAntichain, tuple(
+            frozenset(names[x] for x in bits(stored[i])) for i in bad
+        )
+    bad = K.verify_elimination(stored, len(names))
+    if bad is not None:
+        i, j, e = bad
+        first, second = (frozenset(names[x] for x in bits(stored[k])) for k in (i, j))
+        return EliminationFails, (first, second, names[e])
+    raise AssertionError("the scans pass this family")
+
+
+def test_circuit_family_rank_agrees_with_the_pair_scans():
+    rng = random.Random(SEED + 5)
+    names = [f"e{i}" for i in range(10)]
+    seen = set()
+    for _ in range(60):
+        fam = mask_pool(rng)
+        for family in (fam, K.minimal_sets(fam)):
+            check_bitmap_verdict(family, 10)
+            # build_matroid names the scans' first violation on its own
+            # deduplicated storage order
+            kind, fields = scan_error(_sort_masks(set(family)), names)
+            seen.add(kind)
+            with pytest.raises(kind) as err:
+                build_matroid(names, [[names[i] for i in bits(c)] for c in family])
+            if kind is NotAnAntichain:
+                assert (err.value.small, err.value.large) == fields
+            else:
+                assert (err.value.first, err.value.second, err.value.element) == fields
+    assert seen == {NotAnAntichain, EliminationFails}
+
+
+def test_circuit_family_rank_on_matroids_and_dropped_circuits():
+    for m in MATROIDS:
+        cs, n = list(m._masks), m.n
+        elements, circuits = index_form(m)
+        indep = oracle.independent_from_circuits(circuits)
+        assert K.circuit_family_rank(cs, n) == oracle.brute_rank(indep, elements)
+        for drop in range(len(cs)):
+            fewer = cs[:drop] + cs[drop + 1 :]
+            holds = oracle.elimination_holds([bits(c) for c in fewer])
+            got = K.circuit_family_rank(fewer, n)
+            if holds:
+                fewer_indep = oracle.independent_from_circuits(map(bits, fewer))
+                assert got == oracle.brute_rank(fewer_indep, elements)
+            else:
+                assert got is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    raw=st.lists(st.integers(1, (1 << 9) - 1), max_size=24),
+    minimal=st.booleans(),
+)
+def test_circuit_family_rank_fuzzed_against_the_pair_scans(n, raw, minimal):
+    fam = [x & ((1 << n) - 1) for x in raw]
+    fam = [x for x in fam if x]
+    if minimal:
+        fam = K.minimal_sets(fam)
+    check_bitmap_verdict(fam, n)
+
+
+def test_circuit_family_rank_on_dense_sixteen_element_hosts():
+    for r in (4, 8):
+        cs = list(uniform(r, 16)._masks)
+        assert K.circuit_family_rank(cs, 16) == r
+        assert K.circuit_family_rank(cs[1:], 16) is None
+        assert K.antichain_dependents(cs[1:], 16) is not None
+        assert K.antichain_dependents(cs + [cs[0] | cs[1]], 16) is None
 
 
 def test_matroid_kernels_agree_with_brute_force():

@@ -61,6 +61,13 @@ class TestBuild:
         with pytest.raises(EliminationFails):
             build_matroid("abc", [("a", "b"), ("b", "c")])
 
+    def test_dense_sixteen_element_families_build(self):
+        for r, count in ((4, 4368), (8, 11440)):
+            u = uniform(r, 16)
+            m = build_matroid(u.elements, u.circuits, max_n=16)
+            assert m == u
+            assert (m.rank(), len(m.circuits)) == (r, count)
+
     def test_empty_circuit_rejected(self):
         with pytest.raises(MatroidError):
             build_matroid("ab", [()])
