@@ -36,8 +36,6 @@ def workloads():
     blocks = uniform(2, 3)
     for _ in range(6):
         blocks = direct_sum(blocks, uniform(1, 2))
-    chain_sets = [(1 << k) - 1 for k in range(2, 13, 2)]
-    chain_caps = [k for k in range(1, 7)]
 
     c1, n1, r1 = masks_of(host1)
     cb, nb, _ = masks_of(blocks)
@@ -47,7 +45,7 @@ def workloads():
     cem4, nem4, rem4 = masks_of(em4)
     c511, n511, r511 = masks_of(u511)
     c410, n410, r410 = masks_of(u410)
-    c816, n816, _ = masks_of(u816)
+    c816, n816, r816 = masks_of(u816)
 
     relabel = [(i * 7 + 3) % n511 for i in range(n511)]
     shuffled = sorted(
@@ -72,8 +70,8 @@ def workloads():
             lambda k: k.cocircuit_masks(n410, c410, r410),
         ),
         (
-            "laminar_circuit_masks (chain family, n=12)",
-            lambda k: k.laminar_circuit_masks(12, chain_sets, chain_caps),
+            "truncation_circuits (11440 circuits, n=16)",
+            lambda k: k.truncation_circuits(n816, c816, r816),
         ),
         (
             "cyclic_flat_masks (n=15 direct sum, 128 flats)",

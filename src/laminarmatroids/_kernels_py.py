@@ -9,18 +9,21 @@ first violating pair in loop order, which is what the CLI prints.
 Closure is read straight off the circuits (Oxley, *Matroid Theory*, 2nd
 ed., Prop. 1.4.11): e outside X lies in cl(X) iff some circuit C has
 C minus X = {e}.  cyclic_flat_masks closes joins of circuit closures
-by that rule, and find_minor tests coindependence (cl(E minus D) = E)
-by it.
+by that rule.
 
-Circuit families are validated on bitmaps: a family of masks on n
-elements is one int of 2**n bits, bit x set when mask x is a member.
-Up-closure is n shift-or steps, one per element (the zeta transform over
-the subset lattice; Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier
-meets Mobius", STOC 2007).  verify_antichain and verify_elimination only
+Dependence is read off one bitmap: a family of masks on n elements is
+an int of 2**n bits, and D, the dependent sets, is the up-closure of the
+circuits, n shift-or steps (the zeta transform; Bjorklund, Husfeldt,
+Kaski and Koivisto, "Fourier meets Mobius", STOC 2007).  R_k, the
+up-closure of the independent k-sets, holds the masks of rank >= k.
+Reading a bit of such an int costs O(2**n), so per-mask tests read one
+0/1 byte per mask instead.  verify_antichain and verify_elimination only
 name the first violation once the bitmap check has said no.
 """
 
 from __future__ import annotations
+
+import re
 
 
 def popcount(x):
@@ -56,14 +59,6 @@ def submasks_of_size(universe, k):
         v = t | (((v ^ t) // u) >> 2)
 
 
-def contains_member(family, x):
-    """True when some mask in `family` is a subset of x."""
-    for f in family:
-        if f & x == f:
-            return True
-    return False
-
-
 def minimal_sets(masks):
     """Inclusion-minimal members, deduplicated, ascending numeric order."""
     uniq = sorted(set(masks), key=lambda m: (popcount(m), m))
@@ -80,15 +75,15 @@ def minimal_sets(masks):
     return kept
 
 
-def greedy_rank(circuits, x, n):
-    """Rank of x: grow an independent set in ascending index order."""
+def greedy_rank(dep, x):
+    """Rank of x: grow an independent set in ascending index order,
+    reading dependence from `dep` (one 0/1 byte per mask, as dependents)."""
     cur = 0
-    for i in range(n):
-        b = 1 << i
-        if x & b:
-            t = cur | b
-            if not contains_member(circuits, t):
-                cur = t
+    while x:
+        b = x & -x
+        x ^= b
+        if not dep[cur | b]:
+            cur |= b
     return popcount(cur)
 
 
@@ -137,6 +132,44 @@ def _up(bitmap, notbit):
     return bitmap
 
 
+def _family(masks, n):
+    """Bitmap with bit x set for each mask x in `masks`."""
+    raw = bytearray(((1 << n) + 7) >> 3)
+    for c in masks:
+        raw[c >> 3] |= 1 << (c & 7)
+    return int.from_bytes(raw, "little")
+
+
+def _at_least(indep, k, n):
+    """R_k: the masks of rank >= k, as the up-closure of the size-k
+    members of the independent-set bitmap `indep`."""
+    notbit, layers = _tables(n)
+    return _up(indep & layers[k], notbit)
+
+
+_BYTE_OF_DIGIT = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bytes(bitmap, n):
+    """A bitmap over the 2**n masks as one 0/1 byte per mask."""
+    return format(bitmap, f"0{1 << n}b")[::-1].encode().translate(_BYTE_OF_DIGIT)
+
+
+def _members(bitmap):
+    """The masks set in `bitmap`, ascending."""
+    return [m.start() for m in re.finditer("1", format(bitmap, "b")[::-1])]
+
+
+def _dependent_bitmap(circuits, n):
+    return _up(_family(circuits, n), _tables(n)[0])
+
+
+def dependents(circuits, n):
+    """D, the masks containing a member of `circuits`, as one 0/1 byte
+    per mask: byte x is 1 when mask x is dependent."""
+    return _bytes(_dependent_bitmap(circuits, n), n)
+
+
 def antichain_dependents(circuits, n):
     """Bitmap of the supersets of `circuits`, or None when the masks repeat
     or one lies inside another.
@@ -146,10 +179,7 @@ def antichain_dependents(circuits, n):
     one element.
     """
     notbit, _ = _tables(n)
-    raw = bytearray(((1 << n) + 7) >> 3)
-    for c in circuits:
-        raw[c >> 3] |= 1 << (c & 7)
-    members = int.from_bytes(raw, "little")
+    members = _family(circuits, n)
     if members.bit_count() != len(circuits):
         return None
     dep = _up(members, notbit)
@@ -180,7 +210,7 @@ def circuit_family_rank(circuits, n):
     below = (1 << (1 << n)) - 1  # R_0 holds every X
     k = 1
     while k <= n and indep & layers[k]:
-        at = _up(indep & layers[k], notbit)
+        at = _at_least(indep, k, n)
         # up[e] at X: X+e in R_k; flat[e] at X: X avoids e, r(X) = r(X+e) = k-1
         up = [at >> (1 << e) for e in range(n)]
         flat = [below & notbit[e] & ~up[e] for e in range(n)]
@@ -211,10 +241,9 @@ def verify_elimination(circuits, n):
     """First elimination-axiom violation as (i, j, element index), or None.
 
     Error naming only: circuit_family_rank decides validity, and this scan
-    names the first failing pair in loop order.  Dependence results are
-    memoised per mask; distinct union masks are bounded by 2**n.
+    names the first failing pair in loop order, reading dependence off D.
     """
-    memo = {}
+    dep = dependents(circuits, n)
     for i, ci in enumerate(circuits):
         for j in range(i + 1, len(circuits)):
             cj = circuits[j]
@@ -226,64 +255,33 @@ def verify_elimination(circuits, n):
             while rest:
                 b = rest & -rest
                 rest ^= b
-                x = union & ~b
-                dep = memo.get(x)
-                if dep is None:
-                    dep = contains_member(circuits, x)
-                    memo[x] = dep
-                if not dep:
+                if not dep[union & ~b]:
                     return (i, j, b.bit_length() - 1)
     return None
 
 
-def _minimal_dependent(n, universe, dep):
-    """Size-ordered pruned search for the minimal masks satisfying `dep`.
-
-    `dep` must be monotone (supersets of dependent sets are dependent).
-    Any mask strictly containing an already-found minimal mask is skipped,
-    so every dependent mask reached is itself minimal.
-    """
-    found = []
-    m = popcount(universe)
-    for k in range(1, m + 1):
-        for x in submasks_of_size(universe, k):
-            if contains_member(found, x):
-                continue
-            if dep(x):
-                found.append(x)
-    return found
-
-
-def laminar_circuit_masks(n, set_masks, caps):
-    """Circuits of the matroid in which x is dependent iff it overfills a set."""
-
-    def dep(x):
-        for a, c in zip(set_masks, caps):
-            if popcount(a & x) > c:
-                return True
-        return False
-
-    return _minimal_dependent(n, (1 << n) - 1, dep)
-
-
 def cocircuit_masks(n, circuits, rank):
-    """Minimal masks whose removal drops the rank (circuits of the dual)."""
+    """Circuits of the dual, smallest first, then ascending numeric order.
+
+    Each is the complement of a hyperplane: a mask that does not span but
+    spans once grown by any one element outside it (Oxley, *Matroid
+    Theory*, 2nd ed., Ch. 2), read off the spanning bitmap R_rank.
+    """
+    notbit, _ = _tables(n)
+    spans = _at_least(~_dependent_bitmap(circuits, n), rank, n)
+    hyper = ((1 << (1 << n)) - 1) & ~spans
+    for e, nb in enumerate(notbit):
+        hyper &= ~nb | spans >> (1 << e)
     full = (1 << n) - 1
-
-    def dep(x):
-        return greedy_rank(circuits, full & ~x, n) < rank
-
-    return _minimal_dependent(n, full, dep)
+    return sorted((full & ~h for h in _members(hyper)), key=lambda c: (popcount(c), c))
 
 
 def truncation_circuits(n, circuits, rank):
-    """Circuit masks after one truncation: small circuits plus rank-size
-    independent sets (none contains another, so the union is an antichain)."""
-    out = [c for c in circuits if popcount(c) <= rank]
-    full = (1 << n) - 1
-    for x in submasks_of_size(full, rank):
-        if not contains_member(circuits, x):
-            out.append(x)
+    """Circuit masks after one truncation, ascending: small circuits plus
+    the bases (none contains another, so the union is an antichain)."""
+    _, layers = _tables(n)
+    bases = layers[rank] & ~_dependent_bitmap(circuits, n)
+    out = [c for c in circuits if popcount(c) <= rank] + _members(bases)
     out.sort()
     return out
 
@@ -352,9 +350,6 @@ def iso_bijection(n1, circuits1, n2, circuits2):
     ):
         return None
     n = n1
-    full = (1 << n) - 1
-    if greedy_rank(circuits1, full, n) != greedy_rank(circuits2, full, n):
-        return None
     sig1 = _element_signatures(n, circuits1)
     sig2 = _element_signatures(n, circuits2)
     if sorted(sig1) != sorted(sig2):
@@ -404,20 +399,23 @@ def find_minor(n, circuits, rank, n_target, circuits_target, rank_target):
     minus D spans); any minor admits such a representation.  T ascends over
     bit patterns, then D ascends over bit patterns disjoint from T; the
     bijection maps the kept elements (compressed in ascending index order)
-    onto the target.
+    onto the target.  Independence reads D and spanning reads R_rank.
     """
     t = rank - rank_target
     d = n - n_target - t
     if t < 0 or d < 0:
         return None
     full = (1 << n) - 1
+    dep = _dependent_bitmap(circuits, n)
+    spans = _bytes(_at_least(~dep, rank, n), n)
+    dep = _bytes(dep, n)
     target_sizes = sorted(popcount(c) for c in circuits_target)
     for tm in submasks_of_size(full, t):
-        if contains_member(circuits, tm):
+        if dep[tm]:
             continue
         contracted = minor_circuits(circuits, 0, tm)
         for dm in submasks_of_size(full & ~tm, d):
-            if closure_mask(circuits, full & ~dm, n) != full:
+            if not spans[full & ~dm]:
                 continue
             cand = [c for c in contracted if not (c & dm)]
             if len(cand) != len(circuits_target):

@@ -55,9 +55,7 @@ def uniform(r, n, names=None):
             for i in combo:
                 m |= 1 << i
             masks.append(m)
-    out = ExplicitMatroid._from_masks(gs, masks)
-    out._rank = r
-    return out
+    return ExplicitMatroid._from_masks(gs, masks)
 
 
 def circuit(n, names=None):

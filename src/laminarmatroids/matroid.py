@@ -5,7 +5,9 @@ strings) plus the family of circuits, encoded internally as bitmasks.
 The ground order doubles as the identifier order used for every
 deterministic output and greedy tie-break.  Ground sets are capped at 16
 elements; construction decides the circuit axioms on one bitmap of the
-2**n subsets and names the first violating pair when they fail.
+2**n subsets and names the first violating pair when they fail.  Each
+matroid holds its dependent sets as one byte per subset, built on first
+use, and rank and independence read it.
 """
 
 from __future__ import annotations
@@ -114,14 +116,14 @@ class ExplicitMatroid:
     construct one with full axiom validation.
     """
 
-    __slots__ = ("ground", "_masks", "_rank", "_cyclic_flats", "_closures")
+    __slots__ = ("ground", "_masks", "_dep", "_cyclic_flats", "_closures")
 
     def __init__(self, ground, masks, _trusted=False):
         if not _trusted:
             raise MatroidError("use build_matroid to construct matroids")
         self.ground = ground
         self._masks = _sort_masks(masks)
-        self._rank = None
+        self._dep = None
         self._cyclic_flats = None
         self._closures = None
 
@@ -157,17 +159,18 @@ class ExplicitMatroid:
 
     # -- queries ---------------------------------------------------------
 
+    def _dependents(self):
+        """Dependent sets, one 0/1 byte per subset mask; computed once."""
+        if self._dep is None:
+            self._dep = K.dependents(self._masks, self.n)
+        return self._dep
+
     def is_independent(self, items):
-        return not K.contains_member(self._masks, self.ground.mask_of(items))
+        return not self._dependents()[self.ground.mask_of(items)]
 
     def rank(self, items=None):
-        if items is None:
-            if self._rank is None:
-                self._rank = K.greedy_rank(
-                    self._masks, self.ground.full_mask, self.n
-                )
-            return self._rank
-        return K.greedy_rank(self._masks, self.ground.mask_of(items), self.n)
+        x = self.ground.full_mask if items is None else self.ground.mask_of(items)
+        return K.greedy_rank(self._dependents(), x)
 
     def closure(self, items):
         m = K.closure_mask(self._masks, self.ground.mask_of(items), self.n)
@@ -207,9 +210,7 @@ class ExplicitMatroid:
 
     def dual(self):
         masks = K.cocircuit_masks(self.n, self._masks, self.rank())
-        out = ExplicitMatroid._from_masks(self.ground, masks)
-        out._rank = self.n - self.rank()
-        return out
+        return ExplicitMatroid._from_masks(self.ground, masks)
 
     def minor(self, delete=(), contract=()):
         dm = self.ground.mask_of(delete)
@@ -238,9 +239,7 @@ class ExplicitMatroid:
         if r == 0:
             raise RankZero("cannot truncate a rank-zero matroid")
         masks = K.truncation_circuits(self.n, self._masks, r)
-        out = ExplicitMatroid._from_masks(self.ground, masks)
-        out._rank = r - 1
-        return out
+        return ExplicitMatroid._from_masks(self.ground, masks)
 
     def simplify(self):
         """Restriction to the least representative of each parallel class.
@@ -295,8 +294,8 @@ def build_matroid(ground, circuits, max_n=HARD_CAP):
     """Validated construction from an iterable of circuits.
 
     Checks the cap, membership and the circuit axioms.  One dependent-set
-    bitmap decides the axioms and gives the rank; only a rejected family
-    is rescanned pair by pair, to name its first violation.
+    bitmap decides the axioms; only a rejected family is rescanned pair by
+    pair, to name its first violation.
     """
     gs = ground if isinstance(ground, GroundSet) else GroundSet(ground)
     cap = min(max_n, HARD_CAP)
@@ -309,8 +308,7 @@ def build_matroid(ground, circuits, max_n=HARD_CAP):
             raise MatroidError("the empty set cannot be a circuit")
         masks.add(m)
     out = ExplicitMatroid._from_masks(gs, masks)
-    out._rank = K.circuit_family_rank(out._masks, len(gs))
-    if out._rank is not None:
+    if K.circuit_family_rank(out._masks, len(gs)) is not None:
         return out
     masks = out._masks
     if K.antichain_dependents(masks, len(gs)) is None:
@@ -341,9 +339,7 @@ def direct_sum(m1, m2):
         raise TooLarge(len(ground), HARD_CAP)
     shift = m1.n
     masks = list(m1._masks) + [c << shift for c in m2._masks]
-    out = ExplicitMatroid._from_masks(ground, masks)
-    out._rank = m1.rank() + m2.rank()
-    return out
+    return ExplicitMatroid._from_masks(ground, masks)
 
 
 def _check_basepoint(m, p):

@@ -1,8 +1,8 @@
 """Brute-force reference implementations used to freeze expected values.
 
 Everything here works from first definitions on tiny inputs: powerset
-scans, permutation search, no bitmasks, no library internals.  Slow on
-purpose; keep n small.
+scans, permutation search, no library internals, and no bitmasks except
+in laminar_circuit_masks.  Slow on purpose; keep n small.
 """
 
 from __future__ import annotations
@@ -116,6 +116,19 @@ def brute_has_minor(elements, circuits, t_elements, t_circuits):
             if brute_isomorphism(keep, mc, t_elements, t_circuits):
                 return True
     return False
+
+
+def laminar_circuit_masks(n, set_masks, caps):
+    """Circuit masks of the matroid on n elements in which x is dependent
+    iff it overfills a set: every mask, smallest first, that overfills one
+    and contains no circuit already found."""
+    found = []
+    for x in sorted(range(1, 1 << n), key=lambda x: (x.bit_count(), x)):
+        if any(c & x == c for c in found):
+            continue
+        if any((a & x).bit_count() > c for a, c in zip(set_masks, caps)):
+            found.append(x)
+    return found
 
 
 def brute_max_weight(elements, independent, weights):

@@ -1,5 +1,5 @@
 """Presentation commands on the family forest against the enumeration
-oracles: the kernel's 2^n circuit scan, the closure-per-circuit canonical
+oracles: the 2^n circuit scan, the closure-per-circuit canonical
 form of the explicit matroid, and the explicit-matroid deconstruct
 recursion."""
 
@@ -20,7 +20,6 @@ from laminarmatroids import (
     nested_from_chain,
     run_script,
 )
-from laminarmatroids._backend import kernels as K
 from laminarmatroids.matroid import HARD_CAP, ExplicitMatroid
 
 ACCEPTANCE_SEED = 20260814
@@ -56,8 +55,8 @@ def presentations():
     return out + _criterion_07_presentations()
 
 
-def kernel_circuits(p):
-    return K.laminar_circuit_masks(p.n, list(p._masks), list(p._caps))
+def scanned_circuits(p):
+    return oracle.laminar_circuit_masks(p.n, list(p._masks), list(p._caps))
 
 
 def members_with_caps(p):
@@ -66,12 +65,12 @@ def members_with_caps(p):
 
 def test_to_explicit_matches_kernel_scan(presentations):
     for p in presentations:
-        assert sorted(p.to_explicit(HARD_CAP)._masks) == sorted(kernel_circuits(p))
+        assert sorted(p.to_explicit(HARD_CAP)._masks) == sorted(scanned_circuits(p))
 
 
 def test_canonicalize_matches_closure_per_circuit(presentations):
     for p in presentations:
-        m = ExplicitMatroid._from_masks(p.ground, kernel_circuits(p))
+        m = ExplicitMatroid._from_masks(p.ground, scanned_circuits(p))
         want = canonical_from_matroid(m, HARD_CAP)
         c = canonicalize(p, HARD_CAP)
         assert c.members == want.members
@@ -95,7 +94,7 @@ def test_dense_sixteen():
     m = p.to_explicit(16)
     # 6-subsets of the ten, plus 9-sets with 3 to 5 of them
     assert len(m.circuits) == forest_count == 210 + 120 + 1260 + 3780
-    assert sorted(m._masks) == sorted(kernel_circuits(p))
+    assert sorted(m._masks) == sorted(scanned_circuits(p))
     c = canonicalize(p, 16)
     assert members_with_caps(c) == members_with_caps(p)
     assert run_script(deconstruct(c, 16)).to_explicit(16) == m

@@ -3,13 +3,15 @@
 Every kernel the package calls through its `K` alias is driven on seeded
 pools (named and random matroids, random mask families, random laminar
 presentations, relabelled copies, find-minor hosts and targets) and
-compared with `_oracles`, which works on frozensets of indices and never
-touches a mask.  Enumeration order reaches the CLI's stdout, so the order
-contracts are asserted exactly: submasks and minimal sets come out in
-ascending order, and the axiom checks name the first violation in loop
-order.  The dependent-set bitmap verdict (circuit_family_rank) is checked
-against those pair scans on the same pools and on Hypothesis-drawn
-families.
+compared with `_oracles`, which works on frozensets of indices.
+Enumeration order reaches the CLI's stdout, so the order contracts are
+asserted exactly: submasks, minimal sets and truncation circuits come out
+in ascending order, cocircuits smallest first, the axiom checks name the
+first violation in loop order, and find_minor returns the first (T, D)
+pair in its loop order that presents the target.  The dependent-set
+bitmap (dependents, and the circuit_family_rank verdict) is checked
+against brute force and the pair scans on the same pools and on
+Hypothesis-drawn families.
 """
 
 from __future__ import annotations
@@ -106,13 +108,17 @@ def test_popcount_and_submask_order():
             assert list(K.submasks_of_size(u, k)) == want
 
 
+SUBSETS_10 = [bits(x) for x in range(1 << 10)]
+
+
 def test_family_helpers_and_first_violations():
     rng = random.Random(SEED + 1)
     for _ in range(60):
         fam = mask_pool(rng)
         sets = [bits(f) for f in fam]
-        x = rng.randrange(0, 1 << 10)
-        assert K.contains_member(fam, x) == any(s <= bits(x) for s in sets)
+        assert list(K.dependents(fam, 10)) == [
+            any(s <= x for s in sets) for x in SUBSETS_10
+        ]
         minimal = {s for s in sets if not any(t < s for t in sets)}
         assert K.minimal_sets(fam) == masks(minimal)
         assert K.verify_antichain(fam) == first_containment(sets)
@@ -131,7 +137,7 @@ def check_bitmap_verdict(fam, n):
         K.verify_antichain(fam) is None and K.verify_elimination(fam, n) is None
     )
     if rank is not None:
-        assert rank == K.greedy_rank(fam, (1 << n) - 1, n)
+        assert rank == K.greedy_rank(K.dependents(fam, n), (1 << n) - 1)
     assert (K.antichain_dependents(fam, n) is None) == (
         K.verify_antichain(fam) is not None
     )
@@ -219,11 +225,10 @@ def test_matroid_kernels_agree_with_brute_force():
         cs, n, r = list(m._masks), m.n, m.rank()
         elements, circuits = index_form(m)
         indep = oracle.independent_from_circuits(circuits)
-        assert K.greedy_rank(cs, (1 << n) - 1, n) == oracle.brute_rank(
-            indep, elements
-        )
+        dep = K.dependents(cs, n)
         for x in range(1 << n):
-            assert K.greedy_rank(cs, x, n) == oracle.brute_rank(indep, bits(x))
+            assert dep[x] == (not indep(bits(x)))
+            assert K.greedy_rank(dep, x) == oracle.brute_rank(indep, bits(x))
             assert bits(K.closure_mask(cs, x, n)) == oracle.brute_closure(
                 elements, indep, bits(x)
             )
@@ -240,8 +245,9 @@ def test_matroid_kernels_agree_with_brute_force():
             assert K.verify_elimination(fewer, n) == first_elimination_failure(
                 [bits(c) for c in fewer]
             )
-        assert sorted(K.cocircuit_masks(n, cs, r)) == masks(
-            oracle.brute_cocircuits(elements, circuits)
+        assert K.cocircuit_masks(n, cs, r) == sorted(
+            masks(oracle.brute_cocircuits(elements, circuits)),
+            key=lambda c: (K.popcount(c), c),
         )
         assert K.cyclic_flat_masks(n, cs, m._circuit_closures()) == masks(
             oracle.brute_cyclic_flats(elements, circuits)
@@ -257,7 +263,7 @@ def test_matroid_kernels_agree_with_brute_force():
             want = oracle.brute_circuits(
                 elements, lambda s: indep(s) and len(s) < r
             )
-            assert sorted(K.truncation_circuits(n, cs, r)) == masks(want)
+            assert K.truncation_circuits(n, cs, r) == masks(want)
         dm = rng.randrange(0, 1 << n)
         tm = rng.randrange(0, 1 << n) & ~dm
         _, want = oracle.brute_minor(elements, circuits, bits(dm), bits(tm))
@@ -290,7 +296,7 @@ def test_laminar_circuit_masks_agree_with_brute_force():
             (bits(a), c) for a, c in zip(sets, caps)
         )
         want = oracle.brute_circuits(range(n), indep)
-        assert sorted(K.laminar_circuit_masks(n, sets, caps)) == masks(want)
+        assert sorted(oracle.laminar_circuit_masks(n, sets, caps)) == masks(want)
 
 
 def check_iso(n, cs1, cs2):
@@ -321,6 +327,10 @@ def test_iso_bijection_agrees_with_brute_force():
 
 
 def test_find_minor_agrees_with_brute_force():
+    """find_minor hits exactly when some minor presents the target, and its
+    witness is the first pair in loop order: T ascends over independent
+    bit patterns, then D over the bit patterns disjoint from T whose
+    complement spans, and no earlier pair presents the target."""
     targets = [m for m in MATROIDS if 3 <= m.n <= 5 and m._masks][:6]
     hosts = [m for m in MATROIDS if m.n >= 5][:25]
     for host in hosts:
@@ -347,3 +357,20 @@ def test_find_minor_agrees_with_brute_force():
                 ),
             )
             assert apply_witness(host, witness, tgt)
+            t_elements, t_circuits = index_form(tgt)
+            t = r - tgt.rank()
+            for tx in masks(combinations(elements, t)):
+                if tx > tm or not indep(bits(tx)):
+                    continue
+                rest = [i for i in elements if not tx >> i & 1]
+                for dx in masks(combinations(rest, n - tgt.n - t)):
+                    if (tx, dx) == (tm, dm):
+                        break
+                    if oracle.brute_rank(indep, set(elements) - bits(dx)) < r:
+                        continue
+                    keep, minor = oracle.brute_minor(
+                        elements, circuits, bits(dx), bits(tx)
+                    )
+                    assert not oracle.brute_isomorphism(
+                        keep, minor, t_elements, t_circuits
+                    )

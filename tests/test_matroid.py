@@ -131,6 +131,7 @@ class TestDual:
 
     def test_uniform_duality(self):
         assert same_labeled(uniform(1, 3).dual(), uniform(2, 3))
+        assert uniform(4, 12).dual() == uniform(8, 12)
 
     def test_involution(self):
         for m in (EM3, fano(), direct_sum(uniform(1, 2), uniform(2, 3))):
@@ -174,6 +175,7 @@ class TestMinor:
 class TestTruncateAndSums:
     def test_uniform_truncation(self):
         assert same_labeled(uniform(3, 3).truncate(), uniform(2, 3))
+        assert uniform(8, 16).truncate() == uniform(7, 16)
 
     def test_double_truncation_to_loops(self):
         m = uniform(2, 2).truncate().truncate()
