@@ -1,4 +1,4 @@
-"""Time the kernels on eight fixed bitmask inputs.
+"""Time the kernels on nine fixed bitmask inputs.
 
 Each workload is one kernel call, timed with perf_counter; the best of
 --repeat runs is printed.  Run from the repository root:
@@ -46,6 +46,8 @@ def workloads():
     c511, n511, r511 = masks_of(u511)
     c410, n410, r410 = masks_of(u410)
     c816, n816, r816 = masks_of(u816)
+    # u(8,16) without its middle circuit fails elimination
+    less816 = c816[: len(c816) // 2] + c816[len(c816) // 2 + 1 :]
 
     relabel = [(i * 7 + 3) % n511 for i in range(n511)]
     shuffled = sorted(
@@ -82,8 +84,12 @@ def workloads():
             lambda k: k.iso_bijection(n511, c511, n511, shuffled),
         ),
         (
-            "circuit_family_rank (11440 circuits, n=16)",
-            lambda k: k.circuit_family_rank(c816, n816),
+            "check_circuits (11440 circuits, n=16)",
+            lambda k: k.check_circuits(c816, n816),
+        ),
+        (
+            "check_circuits failing (11439 circuits, n=16)",
+            lambda k: k.check_circuits(less816, n816),
         ),
     ]
 

@@ -17,8 +17,9 @@ circuits, n shift-or steps (the zeta transform; Bjorklund, Husfeldt,
 Kaski and Koivisto, "Fourier meets Mobius", STOC 2007).  R_k, the
 up-closure of the independent k-sets, holds the masks of rank >= k.
 Reading a bit of such an int costs O(2**n), so per-mask tests read one
-0/1 byte per mask instead.  verify_antichain and verify_elimination only
-name the first violation once the bitmap check has said no.
+0/1 byte per mask instead.  check_circuits decides the circuit axioms on
+these bitmaps and, only when they fail, names the violation from the
+failing region rather than by scanning every pair of circuits.
 """
 
 from __future__ import annotations
@@ -170,42 +171,29 @@ def dependents(circuits, n):
     return _bytes(_dependent_bitmap(circuits, n), n)
 
 
-def antichain_dependents(circuits, n):
-    """Bitmap of the supersets of `circuits`, or None when the masks repeat
-    or one lies inside another.
+def check_circuits(circuits, n):
+    """(D, None) when distinct nonempty masks on n elements are a matroid's
+    circuits, D as dependents gives it; else (None, violation).
 
-    A strict superset of a member still contains it after losing some
-    element, so the strict supersets are the dependent sets, each grown by
-    one element.
+    D is the up-closure of the circuits, and the family is an antichain
+    unless a circuit lies in D grown by one element; the violation is then
+    (i, j), the first circuit i inside another and the first j holding it.
+    R_k, the up-closure of the size-k masks outside D, holds the X with
+    r(X) >= k.  An antichain is a circuit family exactly when no X, e, f
+    have r(X) = r(X+e) = r(X+f) < r(X+e+f) (Oxley, *Matroid Theory*, 2nd
+    ed., Ch. 1): one AND of shifted bitmaps per rank k and pair e < f.  At
+    the first failing (k, e, f), with X the smallest failing mask, the
+    circuits inside X+e+f fail elimination on their own, and the violation
+    is what verify_elimination names on them, in storage indices.
     """
-    notbit, _ = _tables(n)
+    notbit, layers = _tables(n)
     members = _family(circuits, n)
-    if members.bit_count() != len(circuits):
-        return None
     dep = _up(members, notbit)
     above = 0
     for i, nb in enumerate(notbit):
         above |= (dep & nb) << (1 << i)
     if members & above:
-        return None
-    return dep
-
-
-def circuit_family_rank(circuits, n):
-    """Rank of the matroid whose circuits are `circuits` (nonempty masks on
-    n elements), or None when they are no matroid's circuits.
-
-    The independent sets I are the masks outside the dependent-set bitmap,
-    and R_k, the up-closure of I's size-k layer, holds exactly the X with
-    r(X) >= k.  An antichain is a circuit family exactly when that rank
-    is locally submodular: no X, e, f with r(X) = r(X+e) = r(X+f) <
-    r(X+e+f) (Oxley, *Matroid Theory*, 2nd ed., Ch. 1).  That is one AND
-    of shifted bitmaps per rank k and pair e < f.
-    """
-    dep = antichain_dependents(circuits, n)
-    if dep is None:
-        return None
-    notbit, layers = _tables(n)
+        return None, _first_containment(circuits, members, notbit, n)
     indep = ~dep
     below = (1 << (1 << n)) - 1  # R_0 holds every X
     k = 1
@@ -218,30 +206,37 @@ def circuit_family_rank(circuits, n):
             if not flat[e]:
                 continue
             for f in range(e + 1, n):
-                if flat[e] & flat[f] & up[e] >> (1 << f):
-                    return None
+                bad = flat[e] & flat[f] & up[e] >> (1 << f)
+                if bad:
+                    y = min(_members(bad), key=lambda m: (popcount(m), m)) | 1 << e | 1 << f
+                    keep = [i for i, c in enumerate(circuits) if not c & ~y]
+                    i, j, g = verify_elimination([circuits[i] for i in keep], n)
+                    return None, (keep[i], keep[j], g)
         below = at
         k += 1
-    return k - 1
+    return _bytes(dep, n), None
 
 
-def verify_antichain(circuits):
-    """Index pair (i, j) with circuit i inside circuit j, or None.
-
-    Error naming only: circuit_family_rank decides validity.
-    """
-    for i, ci in enumerate(circuits):
-        for j, cj in enumerate(circuits):
-            if i != j and ci & cj == ci:
-                return (i, j)
-    return None
+def _first_containment(circuits, members, notbit, n):
+    """(i, j) for the first circuit i inside another and the first circuit j
+    holding it, read off the masks strictly inside some circuit."""
+    down = members
+    for i, nb in enumerate(notbit):
+        down |= (down >> (1 << i)) & nb
+    inside = 0
+    for i, nb in enumerate(notbit):
+        inside |= (down >> (1 << i)) & nb
+    inside = _bytes(inside, n)
+    i = next(i for i, c in enumerate(circuits) if inside[c])
+    small = circuits[i]
+    return i, next(j for j, c in enumerate(circuits) if c & small == small and j != i)
 
 
 def verify_elimination(circuits, n):
     """First elimination-axiom violation as (i, j, element index), or None.
 
-    Error naming only: circuit_family_rank decides validity, and this scan
-    names the first failing pair in loop order, reading dependence off D.
+    Reads dependence off D.  check_circuits runs it only on the circuits
+    inside a region its bitmap test has already found failing.
     """
     dep = dependents(circuits, n)
     for i, ci in enumerate(circuits):

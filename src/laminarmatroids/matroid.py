@@ -5,9 +5,10 @@ strings) plus the family of circuits, encoded internally as bitmasks.
 The ground order doubles as the identifier order used for every
 deterministic output and greedy tie-break.  Ground sets are capped at 16
 elements; construction decides the circuit axioms on one bitmap of the
-2**n subsets and names the first violating pair when they fail.  Each
-matroid holds its dependent sets as one byte per subset, built on first
-use, and rank and independence read it.
+2**n subsets, names a violating pair from that test when they fail, and
+keeps the bitmap.  Each matroid holds its dependent sets as one byte per
+subset, kept from validation or built on first use, and rank and
+independence read it.
 """
 
 from __future__ import annotations
@@ -294,8 +295,8 @@ def build_matroid(ground, circuits, max_n=HARD_CAP):
     """Validated construction from an iterable of circuits.
 
     Checks the cap, membership and the circuit axioms.  One dependent-set
-    bitmap decides the axioms; only a rejected family is rescanned pair by
-    pair, to name its first violation.
+    bitmap decides the axioms and is kept for rank and independence; a
+    rejected family is named from the bitmap test that failed.
     """
     gs = ground if isinstance(ground, GroundSet) else GroundSet(ground)
     cap = min(max_n, HARD_CAP)
@@ -308,14 +309,13 @@ def build_matroid(ground, circuits, max_n=HARD_CAP):
             raise MatroidError("the empty set cannot be a circuit")
         masks.add(m)
     out = ExplicitMatroid._from_masks(gs, masks)
-    if K.circuit_family_rank(out._masks, len(gs)) is not None:
+    out._dep, bad = K.check_circuits(out._masks, len(gs))
+    if bad is None:
         return out
-    masks = out._masks
-    if K.antichain_dependents(masks, len(gs)) is None:
-        i, j = K.verify_antichain(masks)
-        raise NotAnAntichain(gs.set_of(masks[i]), gs.set_of(masks[j]))
-    i, j, e = K.verify_elimination(masks, len(gs))
-    raise EliminationFails(gs.set_of(masks[i]), gs.set_of(masks[j]), gs.elements[e])
+    named = [gs.set_of(out._masks[i]) for i in bad[:2]]
+    if len(bad) == 2:
+        raise NotAnAntichain(*named)
+    raise EliminationFails(*named, gs.elements[bad[2]])
 
 
 def _fresh_names(taken, names):

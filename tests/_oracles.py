@@ -178,6 +178,62 @@ def elimination_holds(circuits):
     return True
 
 
+def first_containment(circuits):
+    """(i, j): the first circuit i inside another, and the first circuit j
+    holding it; None for an antichain."""
+    family = [frozenset(c) for c in circuits]
+    for i, a in enumerate(family):
+        for j, b in enumerate(family):
+            if i != j and a <= b:
+                return (i, j)
+    return None
+
+
+def first_elimination_failure(circuits):
+    """(i, j, e): the first pair i < j and element e of both whose union
+    minus e holds no circuit; None when elimination holds."""
+    family = [frozenset(c) for c in circuits]
+    for i, j in combinations(range(len(family)), 2):
+        for e in sorted(family[i] & family[j]):
+            rest = (family[i] | family[j]) - {e}
+            if not any(c <= rest for c in family):
+                return (i, j, e)
+    return None
+
+
+def region_elimination_failure(elements, circuits):
+    """The elimination failure the axiom check names on an antichain, or
+    None when elimination holds.
+
+    With r the brute-force rank, take the least (k, e, f), e < f, such
+    that some X avoiding e and f has r(X) = r(X+e) = r(X+f) = k - 1 <
+    r(X+e+f); among those X the one with fewest elements, then the
+    smallest when read as a number with bit i for element i.  The answer
+    is first_elimination_failure on the circuits inside X+e+f, with their
+    indices in `circuits`.
+    """
+    elements = sorted(elements)
+    independent = independent_from_circuits(circuits)
+    rank = {}
+    for s in subsets(elements):
+        s = frozenset(s)
+        rank[s] = len(s) if independent(s) else max(rank[s - {x}] for x in s)
+    best = None
+    for x, r in rank.items():
+        out = [e for e in elements if e not in x]
+        for e, f in combinations(out, 2):
+            if rank[x | {e}] == rank[x | {f}] == r < rank[x | {e, f}]:
+                key = (r + 1, e, f, len(x), sorted(x, reverse=True))
+                if best is None or key < best[0]:
+                    best = (key, x | {e, f})
+    if best is None:
+        return None
+    region = best[1]
+    keep = [i for i, c in enumerate(circuits) if frozenset(c) <= region]
+    i, j, e = first_elimination_failure([circuits[i] for i in keep])
+    return keep[i], keep[j], e
+
+
 def explicit_deconstruct(m):
     """(steps, result) of the construction script for a laminar matroid,
     by the recursion on explicit matroids that deconstruct used before it

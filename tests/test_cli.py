@@ -230,6 +230,15 @@ class TestSizeCap:
         code, out, _ = run(capsys, "validate", path, "--max-n", "16")
         assert (code, out) == (0, "ok explicit-matroid n=16 rank=8 circuits=11440\n")
 
+    def test_dense_sixteen_element_ckt_failing_elimination_exits_2(self, files, capsys):
+        lines = render_ckt(uniform(8, 16)).splitlines()
+        ground, circuits = lines[0], lines[1:-1]  # the last line is "rank 8"
+        del circuits[len(circuits) // 2]
+        path = files("u8_16_less.ckt", "\n".join([ground, *circuits]) + "\n")
+        code, out, err = run(capsys, "validate", path, "--max-n", "16")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no circuit inside")
+
 
 class TestDeterminism:
     def test_identical_bytes(self, files, capsys):

@@ -6,12 +6,13 @@ presentations, relabelled copies, find-minor hosts and targets) and
 compared with `_oracles`, which works on frozensets of indices.
 Enumeration order reaches the CLI's stdout, so the order contracts are
 asserted exactly: submasks, minimal sets and truncation circuits come out
-in ascending order, cocircuits smallest first, the axiom checks name the
-first violation in loop order, and find_minor returns the first (T, D)
-pair in its loop order that presents the target.  The dependent-set
-bitmap (dependents, and the circuit_family_rank verdict) is checked
-against brute force and the pair scans on the same pools and on
-Hypothesis-drawn families.
+in ascending order, cocircuits smallest first, verify_elimination names
+the first failing pair in loop order, and find_minor returns the first
+(T, D) pair in its loop order that presents the target.  check_circuits
+is checked against the axioms on the same pools and on Hypothesis-drawn
+families: its verdict, its dependent-set bitmap, the first containment
+for a non-antichain, and for an elimination failure the pair its failing
+region names, recomputed from brute-force ranks.
 """
 
 from __future__ import annotations
@@ -73,23 +74,6 @@ def index_form(m):
     return tuple(range(m.n)), [bits(c) for c in m._masks]
 
 
-def first_containment(sets):
-    for i, a in enumerate(sets):
-        for j, b in enumerate(sets):
-            if i != j and a <= b:
-                return (i, j)
-    return None
-
-
-def first_elimination_failure(sets):
-    for i, j in combinations(range(len(sets)), 2):
-        for e in sorted(sets[i] & sets[j]):
-            rest = (sets[i] | sets[j]) - {e}
-            if not any(c <= rest for c in sets):
-                return (i, j, e)
-    return None
-
-
 def relabel(cs, perm):
     return sorted(mask(perm[i] for i in bits(c)) for c in cs)
 
@@ -121,79 +105,87 @@ def test_family_helpers_and_first_violations():
         ]
         minimal = {s for s in sets if not any(t < s for t in sets)}
         assert K.minimal_sets(fam) == masks(minimal)
-        assert K.verify_antichain(fam) == first_containment(sets)
-        assert K.verify_elimination(fam, 10) == first_elimination_failure(sets)
+        distinct = list(dict.fromkeys(fam))
+        pair = oracle.first_containment(map(bits, distinct))
+        if pair is not None:
+            assert K.check_circuits(distinct, 10) == (None, pair)
         anti = sorted(minimal, key=mask)
-        assert K.verify_antichain([mask(s) for s in anti]) is None
-        assert (K.verify_elimination([mask(s) for s in anti], 10) is None) == (
-            oracle.elimination_holds(anti)
+        assert K.verify_elimination(fam, 10) == oracle.first_elimination_failure(sets)
+        assert K.check_circuits([mask(s) for s in anti], 10)[1] == (
+            oracle.region_elimination_failure(range(10), anti)
         )
 
 
-def check_bitmap_verdict(fam, n):
-    """The bitmap kernels against the pair scans on one family."""
-    rank = K.circuit_family_rank(fam, n)
-    assert (rank is not None) == (
-        K.verify_antichain(fam) is None and K.verify_elimination(fam, n) is None
-    )
-    if rank is not None:
-        assert rank == K.greedy_rank(K.dependents(fam, n), (1 << n) - 1)
-    assert (K.antichain_dependents(fam, n) is None) == (
-        K.verify_antichain(fam) is not None
-    )
+def check_verdict(fam, n):
+    """check_circuits on distinct masks against the axioms themselves:
+    the verdict, D on success, and a real violation on failure.  Returns
+    what check_circuits returned."""
+    dep, bad = K.check_circuits(fam, n)
+    sets = [bits(c) for c in fam]
+    holds = oracle.first_containment(sets) is None and oracle.elimination_holds(sets)
+    assert (bad is None) == holds
+    if bad is None:
+        assert dep == K.dependents(fam, n)
+        return dep, bad
+    assert dep is None
+    i, j = bad[:2]
+    assert i != j
+    if len(bad) == 2:
+        assert sets[i] < sets[j]
+    else:
+        e = bad[2]
+        assert e in sets[i] & sets[j]
+        rest = (sets[i] | sets[j]) - {e}
+        assert not any(c <= rest for c in sets)
+    return dep, bad
 
 
-def scan_error(stored, names):
-    """The error type and fields the pair scans name on a failing family."""
-    bad = K.verify_antichain(stored)
-    if bad is not None:
-        return NotAnAntichain, tuple(
-            frozenset(names[x] for x in bits(stored[i])) for i in bad
-        )
-    bad = K.verify_elimination(stored, len(names))
-    if bad is not None:
-        i, j, e = bad
-        first, second = (frozenset(names[x] for x in bits(stored[k])) for k in (i, j))
-        return EliminationFails, (first, second, names[e])
-    raise AssertionError("the scans pass this family")
-
-
-def test_circuit_family_rank_agrees_with_the_pair_scans():
+def test_check_circuits_names_what_build_matroid_raises():
     rng = random.Random(SEED + 5)
     names = [f"e{i}" for i in range(10)]
     seen = set()
     for _ in range(60):
         fam = mask_pool(rng)
         for family in (fam, K.minimal_sets(fam)):
-            check_bitmap_verdict(family, 10)
-            # build_matroid names the scans' first violation on its own
-            # deduplicated storage order
-            kind, fields = scan_error(_sort_masks(set(family)), names)
+            # build_matroid names the violation on its own deduplicated
+            # storage order
+            stored = _sort_masks(set(family))
+            sets = [bits(c) for c in stored]
+            bad = check_verdict(stored, 10)[1]
+            named = [frozenset(names[x] for x in sets[k]) for k in bad[:2]]
+            pair = oracle.first_containment(sets)
+            kind = NotAnAntichain if pair is not None else EliminationFails
             seen.add(kind)
             with pytest.raises(kind) as err:
                 build_matroid(names, [[names[i] for i in bits(c)] for c in family])
             if kind is NotAnAntichain:
-                assert (err.value.small, err.value.large) == fields
+                assert bad == pair
+                assert (err.value.small, err.value.large) == tuple(named)
             else:
-                assert (err.value.first, err.value.second, err.value.element) == fields
+                assert bad == oracle.region_elimination_failure(range(10), sets)
+                got = (err.value.first, err.value.second, err.value.element)
+                assert got == (*named, names[bad[2]])
     assert seen == {NotAnAntichain, EliminationFails}
 
 
-def test_circuit_family_rank_on_matroids_and_dropped_circuits():
+def test_check_circuits_on_matroids_and_dropped_circuits():
     for m in MATROIDS:
         cs, n = list(m._masks), m.n
         elements, circuits = index_form(m)
         indep = oracle.independent_from_circuits(circuits)
-        assert K.circuit_family_rank(cs, n) == oracle.brute_rank(indep, elements)
+        dep, bad = K.check_circuits(cs, n)
+        assert bad is None
+        assert K.greedy_rank(dep, (1 << n) - 1) == oracle.brute_rank(indep, elements)
         for drop in range(len(cs)):
             fewer = cs[:drop] + cs[drop + 1 :]
-            holds = oracle.elimination_holds([bits(c) for c in fewer])
-            got = K.circuit_family_rank(fewer, n)
-            if holds:
+            dep, bad = check_verdict(fewer, n)
+            want = oracle.region_elimination_failure(elements, [bits(c) for c in fewer])
+            assert bad == want
+            if want is None:
                 fewer_indep = oracle.independent_from_circuits(map(bits, fewer))
-                assert got == oracle.brute_rank(fewer_indep, elements)
-            else:
-                assert got is None
+                assert K.greedy_rank(dep, (1 << n) - 1) == oracle.brute_rank(
+                    fewer_indep, elements
+                )
 
 
 @settings(max_examples=300, deadline=None)
@@ -202,21 +194,28 @@ def test_circuit_family_rank_on_matroids_and_dropped_circuits():
     raw=st.lists(st.integers(1, (1 << 9) - 1), max_size=24),
     minimal=st.booleans(),
 )
-def test_circuit_family_rank_fuzzed_against_the_pair_scans(n, raw, minimal):
+def test_check_circuits_fuzzed_against_the_oracle(n, raw, minimal):
     fam = [x & ((1 << n) - 1) for x in raw]
-    fam = [x for x in fam if x]
+    fam = list(dict.fromkeys(x for x in fam if x))
     if minimal:
         fam = K.minimal_sets(fam)
-    check_bitmap_verdict(fam, n)
+    check_verdict(fam, n)
 
 
-def test_circuit_family_rank_on_dense_sixteen_element_hosts():
+def test_check_circuits_on_dense_sixteen_element_hosts():
     for r in (4, 8):
         cs = list(uniform(r, 16)._masks)
-        assert K.circuit_family_rank(cs, 16) == r
-        assert K.circuit_family_rank(cs[1:], 16) is None
-        assert K.antichain_dependents(cs[1:], 16) is not None
-        assert K.antichain_dependents(cs + [cs[0] | cs[1]], 16) is None
+        dep, bad = K.check_circuits(cs, 16)
+        assert bad is None and K.greedy_rank(dep, (1 << 16) - 1) == r
+        assert dep == K.dependents(cs, 16)
+        mid = len(cs) // 2
+        fewer = cs[:mid] + cs[mid + 1 :]
+        dep, bad = K.check_circuits(fewer, 16)
+        i, j, e = bad
+        assert dep is None and i != j and (fewer[i] & fewer[j]) >> e & 1
+        assert not K.dependents(fewer, 16)[(fewer[i] | fewer[j]) & ~(1 << e)]
+        more = cs + [cs[0] | cs[1]]
+        assert K.check_circuits(more, 16) == (None, oracle.first_containment(map(bits, more)))
 
 
 def test_matroid_kernels_agree_with_brute_force():
@@ -236,13 +235,12 @@ def test_matroid_kernels_agree_with_brute_force():
         assert [bits(a) for a in m._circuit_closures()] == [
             oracle.brute_closure(elements, indep, c) for c in circuits
         ]
-        assert K.verify_antichain(cs) is None
         assert K.verify_elimination(cs, n) is None
         if len(cs) > 2:
             # Dropping a circuit leaves an antichain whose first elimination
             # failure, if any, lies deep in the pair loop.
             fewer = cs[: len(cs) // 2] + cs[len(cs) // 2 + 1 :]
-            assert K.verify_elimination(fewer, n) == first_elimination_failure(
+            assert K.verify_elimination(fewer, n) == oracle.first_elimination_failure(
                 [bits(c) for c in fewer]
             )
         assert K.cocircuit_masks(n, cs, r) == sorted(

@@ -24,7 +24,8 @@ from laminarmatroids import (
     two_sum,
     uniform,
 )
-from laminarmatroids.matroid import apply_witness, has_minor, is_isomorphic
+from laminarmatroids._backend import kernels as K
+from laminarmatroids.matroid import _sort_masks, apply_witness, has_minor, is_isomorphic
 
 
 def circuits_set(m):
@@ -67,6 +68,46 @@ class TestBuild:
             m = build_matroid(u.elements, u.circuits, max_n=16)
             assert m == u
             assert (m.rank(), len(m.circuits)) == (r, count)
+
+    def test_dense_family_without_its_middle_circuit_fails_elimination(self):
+        u = uniform(8, 16)
+        cs = list(u.circuits)
+        fewer = cs[: len(cs) // 2] + cs[len(cs) // 2 + 1 :]
+        with pytest.raises(EliminationFails) as e:
+            build_matroid(u.elements, fewer, max_n=16)
+        first, second, element = e.value.first, e.value.second, e.value.element
+        assert first in fewer and second in fewer and first != second
+        assert element in first & second
+        rest = (first | second) - {element}
+        assert not any(c <= rest for c in fewer)
+
+    def test_dense_family_plus_a_union_of_two_circuits_is_no_antichain(self):
+        u = uniform(8, 16)
+        cs = list(u.circuits)
+        early = cs + [cs[0] | cs[1]]
+        stored = [u.ground.set_of(m) for m in _sort_masks(u.ground.mask_of(c) for c in early)]
+        i, j = oracle.first_containment(stored)
+        with pytest.raises(NotAnAntichain) as e:
+            build_matroid(u.elements, early, max_n=16)
+        assert (e.value.small, e.value.large) == (stored[i], stored[j])
+        # Late in storage order, where first_containment is quadratic: the
+        # union holds nine 8-sets, and the first stored is the union less
+        # its last element.
+        union = cs[-2] | cs[-1]
+        with pytest.raises(NotAnAntichain) as e:
+            build_matroid(u.elements, cs + [union], max_n=16)
+        last = max(union, key=u.elements.index)
+        assert (e.value.small, e.value.large) == (union - {last}, union)
+
+    def test_validation_keeps_its_dependent_set_bitmap(self, monkeypatch):
+        m = build_matroid("abcd", combinations("abcd", 3))
+
+        def rebuilt(*args):
+            raise AssertionError("the dependent-set bitmap was built again")
+
+        monkeypatch.setattr(K, "dependents", rebuilt)
+        assert m.rank() == 2 and m.rank("abc") == 2
+        assert m.is_independent("ab") and not m.is_independent("abc")
 
     def test_empty_circuit_rejected(self):
         with pytest.raises(MatroidError):
