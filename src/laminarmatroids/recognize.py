@@ -72,8 +72,8 @@ class DualLaminarVerdict:
 class MinorExclusionVerdict:
     """Outcome of a minor-exclusion classifier.
 
-    When the flag is False, `found` holds (target label, rank-r label or
-    minor witness) for the first excluded minor discovered.
+    When the flag is False, `found` holds (target label, MinorWitness)
+    for the first excluded minor discovered.
     """
 
     flag: bool
@@ -202,8 +202,13 @@ def classify_dual_laminar(m, max_n=DESK_CAP):
     return _dual_laminar(m, is_laminar(m, max_n), max_n)
 
 
-def _exclusion(m, targets, max_n):
-    _guard(m, max_n)
+def _exclusion(m, uniforms, laminar):
+    """First of U(r, n) for (r, n) in uniforms, then the rank-3 excluded
+    minor, found as a minor of m.  The last is not searched for on a
+    laminar host: laminarity is minor-closed, so it can only miss."""
+    targets = [(f"uniform({r},{n})", uniform(r, n)) for r, n in uniforms]
+    if not laminar:
+        targets.append(("excluded-minor(3)", excluded_minor(3)))
     for label, t in targets:
         w = has_minor(m, t)
         if w is not None:
@@ -211,34 +216,35 @@ def _exclusion(m, targets, max_n):
     return MinorExclusionVerdict(True)
 
 
+_BINARY = ((2, 4),)
+_TERNARY = ((2, 5), (3, 5))
+
+
 def classify_binary_laminar(m, max_n=DESK_CAP):
-    """Binary and laminar, by excluding U(2,4) and the rank-3 excluded
-    minor; targets are searched smallest first."""
-    targets = (
-        ("uniform(2,4)", uniform(2, 4)),
-        ("excluded-minor(3)", excluded_minor(3)),
-    )
-    return _exclusion(m, targets, max_n)
+    """Binary and laminar, by excluding U(2,4) and then the rank-3
+    excluded minor; the latter is searched for only when is_laminar says
+    no, since laminar matroids have no excluded_minor(r) minor (Fife and
+    Oxley, "Laminar matroids")."""
+    return _exclusion(m, _BINARY, is_laminar(m, max_n))
 
 
 def classify_ternary_laminar(m, max_n=DESK_CAP):
-    """Ternary and laminar, by excluding U(2,5), U(3,5), and the rank-3
-    excluded minor."""
-    targets = (
-        ("uniform(2,5)", uniform(2, 5)),
-        ("uniform(3,5)", uniform(3, 5)),
-        ("excluded-minor(3)", excluded_minor(3)),
-    )
-    return _exclusion(m, targets, max_n)
+    """Ternary and laminar, by excluding U(2,5), U(3,5), and then the
+    rank-3 excluded minor, which is skipped on laminar hosts as in
+    classify_binary_laminar."""
+    return _exclusion(m, _TERNARY, is_laminar(m, max_n))
 
 
 def excluded_minor_witness(m, max_n=DESK_CAP):
     """First (r, witness) with the rank-r excluded minor inside m, or None.
 
-    Ranks run from 3 up to the largest size that fits, (n + 1) // 2.
-    Present for some r exactly when the matroid is not laminar.
+    The excluded_minor(r), r >= 3, are the excluded minors of the laminar
+    matroids (Fife and Oxley, "Laminar matroids"), so a laminar host, as
+    is_laminar decides it, returns None with no search.  Otherwise ranks
+    run from 3 up to the largest size that fits, (n + 1) // 2.
     """
-    _guard(m, max_n)
+    if is_laminar(m, max_n):
+        return None
     for r in range(3, (m.n + 1) // 2 + 1):
         w = has_minor(m, excluded_minor(r))
         if w is not None:
@@ -254,6 +260,6 @@ def classify(m, max_n=DESK_CAP):
         nested=nested,
         laminar=laminar,
         dual_laminar=_dual_laminar(m, laminar, max_n),
-        binary_laminar=classify_binary_laminar(m, max_n),
-        ternary_laminar=classify_ternary_laminar(m, max_n),
+        binary_laminar=_exclusion(m, _BINARY, laminar),
+        ternary_laminar=_exclusion(m, _TERNARY, laminar),
     )

@@ -2,7 +2,9 @@
 
 Everything here works from first definitions on tiny inputs: powerset
 scans, permutation search, no library internals, and no bitmasks except
-in laminar_circuit_masks.  Slow on purpose; keep n small.
+in laminar_circuit_masks.  Slow on purpose; keep n small.  The two
+exceptions, explicit_deconstruct and search_excluded_minor_witness, keep
+computations the library no longer makes, built from its public calls.
 """
 
 from __future__ import annotations
@@ -232,6 +234,23 @@ def region_elimination_failure(elements, circuits):
     keep = [i for i, c in enumerate(circuits) if frozenset(c) <= region]
     i, j, e = first_elimination_failure([circuits[i] for i in keep])
     return keep[i], keep[j], e
+
+
+def search_excluded_minor_witness(m):
+    """First (r, witness) with excluded_minor(r) a minor of m, or None,
+    by has_minor at every rank r from 3 to (n + 1) // 2.
+
+    This is the search excluded_minor_witness makes on non-laminar hosts,
+    run on laminar ones too, so a test can check "laminar exactly when no
+    excluded minor" without reading is_laminar on either side.
+    """
+    from laminarmatroids import excluded_minor, has_minor
+
+    for r in range(3, (m.n + 1) // 2 + 1):
+        w = has_minor(m, excluded_minor(r))
+        if w is not None:
+            return (r, w)
+    return None
 
 
 def explicit_deconstruct(m):

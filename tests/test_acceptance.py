@@ -121,8 +121,9 @@ def test_criterion_05_recognition_equivalence(corpus):
     ok = True
     for m in corpus:
         verdict = bool(is_laminar(m))
-        hit = excluded_minor_witness(m)
+        hit = oracle.search_excluded_minor_witness(m)
         ok &= verdict == (hit is None)
+        ok &= excluded_minor_witness(m) == hit
         if hit is not None:
             r, w = hit
             ok &= apply_witness(m, w, excluded_minor(r))

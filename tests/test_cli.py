@@ -230,6 +230,11 @@ class TestSizeCap:
         code, out, _ = run(capsys, "validate", path, "--max-n", "16")
         assert (code, out) == (0, "ok explicit-matroid n=16 rank=8 circuits=11440\n")
 
+    def test_witness_on_dense_laminar_host_at_the_hard_cap(self, files, capsys):
+        path = files("u8_16.ckt", render_ckt(uniform(8, 16)))
+        code, out, _ = run(capsys, "witness", path, "--max-n", "16")
+        assert (code, out) == (1, "witness: none\n")
+
     def test_dense_sixteen_element_ckt_failing_elimination_exits_2(self, files, capsys):
         lines = render_ckt(uniform(8, 16)).splitlines()
         ground, circuits = lines[0], lines[1:-1]  # the last line is "rank 8"

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 import _oracles as oracle
 from _corpus import named_corpus, random_script
 from laminarmatroids import (
@@ -20,11 +22,12 @@ from laminarmatroids import (
     fano,
     is_laminar,
     is_nested,
+    recognize,
     run_script,
     two_sum,
     uniform,
 )
-from laminarmatroids.matroid import apply_witness
+from laminarmatroids.matroid import apply_witness, has_minor
 
 EM3 = excluded_minor(3)
 U24 = uniform(2, 4, ("a", "b", "c", "d"))
@@ -252,7 +255,55 @@ class TestExcludedMinorWitness:
         mats = [run_script(random_script(rng)).to_explicit() for _ in range(25)]
         mats += [EM3, fano(), U24, MIXED, DOUBLE_TRIANGLE]
         for m in mats:
-            assert bool(is_laminar(m)) == (excluded_minor_witness(m) is None)
+            hit = oracle.search_excluded_minor_witness(m)
+            assert bool(is_laminar(m)) == (hit is None)
+            assert excluded_minor_witness(m) == hit
+
+
+DENSE_LAMINAR = (
+    uniform(4, 16),
+    uniform(8, 16),
+    direct_sum(uniform(3, 8), uniform(4, 8)),
+)
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """Targets recognize passes to has_minor, in call order."""
+    targets = []
+
+    def recording(m, target):
+        targets.append(target)
+        return has_minor(m, target)
+
+    monkeypatch.setattr(recognize, "has_minor", recording)
+    return targets
+
+
+class TestLaminarHostsSkipExcludedMinorSearch:
+    def test_witness_searches_nothing_at_the_hard_cap(self, searched):
+        for m in DENSE_LAMINAR:
+            assert excluded_minor_witness(m, 16) is None
+        assert searched == []
+
+    def test_classifiers_search_only_the_uniforms(self, searched):
+        # the uniforms miss on MIXED and, but for U(2,4), on DOUBLE_TRIANGLE
+        for m in DENSE_LAMINAR + (MIXED, DOUBLE_TRIANGLE):
+            c = classify(m, 16)
+            assert c.binary_laminar == classify_binary_laminar(m, 16)
+            assert c.ternary_laminar == classify_ternary_laminar(m, 16)
+        assert searched
+        assert EM3 not in searched
+
+    def test_non_laminar_host_still_finds_the_same_witness(self, searched):
+        m = direct_sum(EM3, U24)
+        hit = excluded_minor_witness(m)
+        assert hit == oracle.search_excluded_minor_witness(m)
+        assert hit[0] == 3 and searched == [EM3]
+        c = classify(m)
+        assert c.binary_laminar.found == ("uniform(2,4)", has_minor(m, uniform(2, 4)))
+        assert c.ternary_laminar.found == ("excluded-minor(3)", has_minor(m, EM3))
+        assert classify_ternary_laminar(m) == c.ternary_laminar
 
 
 class TestClassify:
