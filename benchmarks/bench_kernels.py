@@ -1,4 +1,4 @@
-"""Time the kernels on nine fixed bitmask inputs.
+"""Time the kernels on ten fixed bitmask inputs.
 
 Each workload is one kernel call, timed with perf_counter; the best of
 --repeat runs is printed.  Run from the repository root:
@@ -32,20 +32,24 @@ def workloads():
     u511 = uniform(5, 11)
     u410 = uniform(4, 10)
     u816 = uniform(8, 16)
+    # 6435 circuits, none spanning: each needs its closure computed
+    u715c = direct_sum(uniform(7, 15), uniform(1, 1))
     # six parallel pairs and a triangle: 2**7 cyclic flats
     blocks = uniform(2, 3)
     for _ in range(6):
         blocks = direct_sum(blocks, uniform(1, 2))
 
     c1, n1, r1 = masks_of(host1)
-    cb, nb, _ = masks_of(blocks)
-    closures_b = blocks._circuit_closures()
+    nb = blocks.n
+    dep_b, closures_b = blocks._dependents(), blocks._circuit_closures()
     c2, n2, r2 = masks_of(host2)
     cem3, nem3, rem3 = masks_of(em3)
     cem4, nem4, rem4 = masks_of(em4)
     c511, n511, r511 = masks_of(u511)
     c410, n410, r410 = masks_of(u410)
     c816, n816, r816 = masks_of(u816)
+    c715c, n715c, _ = masks_of(u715c)
+    dep715c = u715c._dependents()
     # u(8,16) without its middle circuit fails elimination
     less816 = c816[: len(c816) // 2] + c816[len(c816) // 2 + 1 :]
 
@@ -77,7 +81,7 @@ def workloads():
         ),
         (
             "cyclic_flat_masks (n=15 direct sum, 128 flats)",
-            lambda k: k.cyclic_flat_masks(nb, cb, closures_b),
+            lambda k: k.cyclic_flat_masks(nb, dep_b, closures_b),
         ),
         (
             "iso_bijection (relabeled uniform(5,11))",
@@ -90,6 +94,10 @@ def workloads():
         (
             "check_circuits failing (11439 circuits, n=16)",
             lambda k: k.check_circuits(less816, n816),
+        ),
+        (
+            "closure_mask per circuit (6435 circuits, n=16)",
+            lambda k: [k.closure_mask(dep715c, c, n715c) for c in c715c],
         ),
     ]
 

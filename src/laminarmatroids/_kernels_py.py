@@ -6,11 +6,6 @@ part of the output contract: subsets of a fixed size are visited in
 ascending bit-pattern order, and searches return their first witness or
 first violating pair in loop order, which is what the CLI prints.
 
-Closure is read straight off the circuits (Oxley, *Matroid Theory*, 2nd
-ed., Prop. 1.4.11): e outside X lies in cl(X) iff some circuit C has
-C minus X = {e}.  cyclic_flat_masks closes joins of circuit closures
-by that rule.
-
 Dependence is read off one bitmap: a family of masks on n elements is
 an int of 2**n bits, and D, the dependent sets, is the up-closure of the
 circuits, n shift-or steps (the zeta transform; Bjorklund, Husfeldt,
@@ -20,6 +15,10 @@ Reading a bit of such an int costs O(2**n), so per-mask tests read one
 0/1 byte per mask instead.  check_circuits decides the circuit axioms on
 these bitmaps and, only when they fail, names the violation from the
 failing region rather than by scanning every pair of circuits.
+
+Closure reads D too: with B a basis of X grown greedily, e lies in
+cl(X) iff e is in X or B + e is dependent.  cyclic_flat_masks closes
+joins of circuit closures that way.
 """
 
 from __future__ import annotations
@@ -76,27 +75,33 @@ def minimal_sets(masks):
     return kept
 
 
-def greedy_rank(dep, x):
-    """Rank of x: grow an independent set in ascending index order,
-    reading dependence from `dep` (one 0/1 byte per mask, as dependents)."""
+def _greedy_basis(dep, x):
+    """A basis of x, grown in ascending index order, reading dependence
+    from `dep` (one 0/1 byte per mask, as dependents gives it)."""
     cur = 0
     while x:
         b = x & -x
         x ^= b
         if not dep[cur | b]:
             cur |= b
-    return popcount(cur)
+    return cur
 
 
-def closure_mask(circuits, x, n):
-    """x plus the lone outside element of every circuit that leaves x by
-    exactly one element (Oxley, Prop. 1.4.11)."""
-    # n is unused; perfbench/tracing.py keys repeats on (circuits, x, n)
+def greedy_rank(dep, x):
+    """Rank of x, the size of its greedy basis."""
+    return popcount(_greedy_basis(dep, x))
+
+
+def closure_mask(dep, x, n):
+    """x plus every e that makes the greedy basis of x dependent."""
+    b = _greedy_basis(dep, x)
     out = x
-    for c in circuits:
-        rest = c & ~x
-        if not rest & (rest - 1):
-            out |= rest
+    rest = ((1 << n) - 1) & ~x
+    while rest:
+        e = rest & -rest
+        rest ^= e
+        if dep[b | e]:
+            out |= e
     return out
 
 
@@ -293,17 +298,18 @@ def minor_circuits(circuits, delete_mask, contract_mask):
     return minimal_sets(cand)
 
 
-def cyclic_flat_masks(n, circuits, closures):
+def cyclic_flat_masks(n, dep, closures):
     """Cyclic flats in ascending numeric order, as joins of circuit closures.
 
-    `closures` holds cl(C) for every circuit C.  The cyclic flats form a
-    lattice with join cl(X | Y) whose least member is cl(empty), the loop
-    set, and every other one is the join of the closures of its circuits
-    (Bonin and de Mier, Ann. Comb. 12, 2008).  So the worklist joins each
-    new flat with each distinct closure, closing each distinct union once.
+    `dep` is D as dependents gives it, and `closures` holds cl(C) for
+    every circuit C.  The cyclic flats form a lattice with join cl(X | Y)
+    whose least member is cl(empty), the loop set, and every other one is
+    the join of the closures of its circuits (Bonin and de Mier, Ann.
+    Comb. 12, 2008).  So the worklist joins each new flat with each
+    distinct closure, closing each distinct union once.
     """
     atoms = set(closures)
-    flats = {closure_mask(circuits, 0, n)} | atoms
+    flats = {closure_mask(dep, 0, n)} | atoms
     seen = set(flats)
     todo = list(flats)
     while todo:
@@ -312,7 +318,7 @@ def cyclic_flat_masks(n, circuits, closures):
             if f | a in seen:
                 continue
             seen.add(f | a)
-            g = closure_mask(circuits, f | a, n)
+            g = closure_mask(dep, f | a, n)
             if g not in flats:
                 flats.add(g)
                 seen.add(g)

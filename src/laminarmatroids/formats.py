@@ -157,6 +157,9 @@ def render_lam(p):
     return "\n".join(out) + "\n"
 
 
+_MBS_ARITY = {"empty": 0, "coloop": 2, "truncate": 1, "dsum": 2}
+
+
 def parse_mbs(text):
     """Parse a construction script; the result line must come last."""
     lines = list(_significant_lines(text))
@@ -178,22 +181,10 @@ def parse_mbs(text):
         if len(parts) < 3 or parts[1] != "=":
             raise ParseError("expected `name = op ...`", lineno)
         name = _parse_ident(parts[0], lineno)
-        op = parts[2]
-        args = parts[3:]
-        if op == "empty" and not args:
-            steps.append(("empty", name))
-        elif op == "coloop" and len(args) == 2:
-            steps.append(
-                ("coloop", name, _parse_ident(args[0], lineno), _parse_ident(args[1], lineno))
-            )
-        elif op == "truncate" and len(args) == 1:
-            steps.append(("truncate", name, _parse_ident(args[0], lineno)))
-        elif op == "dsum" and len(args) == 2:
-            steps.append(
-                ("dsum", name, _parse_ident(args[0], lineno), _parse_ident(args[1], lineno))
-            )
-        else:
+        op, args = parts[2], parts[3:]
+        if _MBS_ARITY.get(op) != len(args):
             raise ParseError(f"bad step {line!r}", lineno)
+        steps.append((op, name, *(_parse_ident(a, lineno) for a in args)))
     if result is None:
         raise ParseError("missing result line")
     return ConstructionScript(steps=tuple(steps), result=result)

@@ -174,7 +174,7 @@ class ExplicitMatroid:
         return K.greedy_rank(self._dependents(), x)
 
     def closure(self, items):
-        m = K.closure_mask(self._masks, self.ground.mask_of(items), self.n)
+        m = K.closure_mask(self._dependents(), self.ground.mask_of(items), self.n)
         return self.ground.set_of(m)
 
     def _circuit_closures(self):
@@ -184,9 +184,9 @@ class ExplicitMatroid:
         closure is the whole ground without a kernel call.
         """
         if self._closures is None:
-            r, full = self.rank(), self.ground.full_mask
+            r, full, dep = self.rank(), self.ground.full_mask, self._dependents()
             self._closures = tuple(
-                full if K.popcount(c) > r else K.closure_mask(self._masks, c, self.n)
+                full if K.popcount(c) > r else K.closure_mask(dep, c, self.n)
                 for c in self._masks
             )
         return self._closures
@@ -285,7 +285,7 @@ class ExplicitMatroid:
     def cyclic_flats(self):
         """Flats that are unions of their circuits, smallest first."""
         if self._cyclic_flats is None:
-            masks = K.cyclic_flat_masks(self.n, self._masks, self._circuit_closures())
+            masks = K.cyclic_flat_masks(self.n, self._dependents(), self._circuit_closures())
             masks.sort(key=lambda m: (K.popcount(m), _index_tuple(m)))
             self._cyclic_flats = tuple(self.ground.set_of(m) for m in masks)
         return self._cyclic_flats

@@ -275,25 +275,20 @@ class LaminarPresentation:
     def delete(self, e):
         """Drop e from the ground and every member; colliding members keep
         the smaller capacity."""
-        bit = 1 << self.ground.index(e)
-        caps = []
-        for a, c in zip(self._masks, self._caps):
-            m = a & ~bit
-            if m:
-                caps.append((self.ground.set_of(m), c))
-        rest = [x for x in self.ground.elements if x != e]
-        return LaminarPresentation(GroundSet(rest), caps)
+        return self._without(e, 0)
 
     def contract(self, e):
-        """Capacities drop by one on members through e; loops just delete."""
+        """Capacities drop by r({e}) on members through e, so loops just
+        delete."""
+        return self._without(e, self._rank_mask(1 << self.ground.index(e)))
+
+    def _without(self, e, drop):
         bit = 1 << self.ground.index(e)
-        if self._rank_mask(bit) == 0:
-            return self.delete(e)
         caps = []
         for a, c in zip(self._masks, self._caps):
             m = a & ~bit
             if m:
-                caps.append((self.ground.set_of(m), c - 1 if a & bit else c))
+                caps.append((self.ground.set_of(m), c - drop if a & bit else c))
         rest = [x for x in self.ground.elements if x != e]
         return LaminarPresentation(GroundSet(rest), caps)
 

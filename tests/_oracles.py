@@ -65,6 +65,22 @@ def brute_closure(elements, independent, items):
     )
 
 
+def first_crossing_pair(m):
+    """The first pair of intersecting non-spanning circuits of m, in
+    m.circuits order, whose brute-force closures cross; None if none."""
+    circuits = m.circuits
+    indep = independent_from_circuits(circuits)
+    r = brute_rank(indep, m.elements)
+    scan = [
+        (c, brute_closure(m.elements, indep, c)) for c in circuits if len(c) <= r
+    ]
+    for i, (c1, a) in enumerate(scan):
+        for c2, b in scan[i + 1 :]:
+            if c1 & c2 and not (a <= b or b <= a):
+                return (c1, c2)
+    return None
+
+
 def brute_cocircuits(elements, circuits):
     independent = independent_from_circuits(circuits)
     full = brute_rank(independent, elements)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from laminarmatroids import excluded_minor, uniform
+from laminarmatroids import direct_sum, excluded_minor, uniform
 from laminarmatroids.cli import main
 from laminarmatroids.formats import render_ckt
 
@@ -232,6 +232,15 @@ class TestSizeCap:
 
     def test_witness_on_dense_laminar_host_at_the_hard_cap(self, files, capsys):
         path = files("u8_16.ckt", render_ckt(uniform(8, 16)))
+        code, out, _ = run(capsys, "witness", path, "--max-n", "16")
+        assert (code, out) == (1, "witness: none\n")
+
+    def test_laminar_host_with_no_spanning_circuit_at_the_hard_cap(self, files, capsys):
+        # 6 435 circuits, none spanning: is-laminar and witness scan no pairs
+        path = files("u7_15c.ckt", render_ckt(direct_sum(uniform(7, 15), uniform(1, 1))))
+        code, out, _ = run(capsys, "is-laminar", path, "--max-n", "16")
+        whole = ",".join(f"e{i}" for i in range(1, 16))
+        assert (code, out) == (0, f"laminar: yes\n  cap {{{whole}}} 7\n")
         code, out, _ = run(capsys, "witness", path, "--max-n", "16")
         assert (code, out) == (1, "witness: none\n")
 

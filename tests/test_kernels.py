@@ -228,7 +228,7 @@ def test_matroid_kernels_agree_with_brute_force():
         for x in range(1 << n):
             assert dep[x] == (not indep(bits(x)))
             assert K.greedy_rank(dep, x) == oracle.brute_rank(indep, bits(x))
-            assert bits(K.closure_mask(cs, x, n)) == oracle.brute_closure(
+            assert bits(K.closure_mask(dep, x, n)) == oracle.brute_closure(
                 elements, indep, bits(x)
             )
         # the matroid's stored closure table, one entry per circuit
@@ -247,7 +247,7 @@ def test_matroid_kernels_agree_with_brute_force():
             masks(oracle.brute_cocircuits(elements, circuits)),
             key=lambda c: (K.popcount(c), c),
         )
-        assert K.cyclic_flat_masks(n, cs, m._circuit_closures()) == masks(
+        assert K.cyclic_flat_masks(n, dep, m._circuit_closures()) == masks(
             oracle.brute_cyclic_flats(elements, circuits)
         )
         # blocks: the classes of "e = f or some circuit holds both"
@@ -276,7 +276,7 @@ def test_cyclic_flats_of_a_direct_sum_are_the_unions_of_blocks():
     elements, circuits = index_form(m)
     want = oracle.brute_cyclic_flats(elements, circuits)
     assert len(want) == 16
-    got = K.cyclic_flat_masks(m.n, list(m._masks), m._circuit_closures())
+    got = K.cyclic_flat_masks(m.n, m._dependents(), m._circuit_closures())
     assert got == masks(want)
     assert [bits(m.ground.mask_of(f)) for f in m.cyclic_flats()] == sorted(
         want, key=lambda f: (len(f), sorted(f))

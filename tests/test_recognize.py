@@ -7,8 +7,10 @@ import random
 import pytest
 
 import _oracles as oracle
-from _corpus import named_corpus, random_script
+from _corpus import full_corpus, named_corpus, random_script
 from laminarmatroids import (
+    MatroidError,
+    NotLaminar,
     build_matroid,
     canonical_from_matroid,
     circuit,
@@ -73,6 +75,34 @@ class TestIsLaminar:
             assert not (cl1 <= cl2 or cl2 <= cl1)
             r = oracle.brute_rank(ind, m.elements)
             assert oracle.brute_rank(ind, c1) < r and oracle.brute_rank(ind, c2) < r
+
+    def test_no_names_the_first_crossing_pair(self):
+        hosts = full_corpus(random.Random(5), n_random=100)
+        hosts += [excluded_minor(4), direct_sum(EM3, U24), fano()]
+        refused = 0
+        for m in hosts:
+            v = is_laminar(m)
+            want = oracle.first_crossing_pair(m)
+            assert bool(v) == (want is None)
+            if not v:
+                refused += 1
+                assert v.violating_circuits == want
+        assert refused >= 20
+
+    @pytest.mark.parametrize("build", ["refuse", "mismatch"])
+    def test_presentation_failing_a_laminar_host_is_an_internal_error(
+        self, monkeypatch, build
+    ):
+        def fake(m, max_n):
+            if build == "refuse":
+                raise NotLaminar(frozenset("ab"), frozenset("bc"))
+            return canonical_from_matroid(U24, max_n)
+
+        monkeypatch.setattr(recognize, "canonical_from_matroid", fake)
+        with pytest.raises(MatroidError) as caught:
+            is_laminar(MIXED)
+        assert type(caught.value) is MatroidError
+        assert str(caught.value) == "internal: canonical presentation mismatch"
 
     def test_yes_certificate_reproduces_matroid(self):
         rng = random.Random(31)
