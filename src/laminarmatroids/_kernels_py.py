@@ -286,6 +286,27 @@ def truncation_circuits(n, circuits, rank):
     return out
 
 
+def compress(masks, keep):
+    """Each mask's bits inside `keep`, renumbered by their position within
+    `keep`: the j-th lowest bit of `keep` becomes bit j."""
+    slot = {}
+    rest = keep
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        slot[b] = 1 << len(slot)
+    out = []
+    for m in masks:
+        m &= keep
+        x = 0
+        while m:
+            b = m & -m
+            m ^= b
+            x |= slot[b]
+        out.append(x)
+    return out
+
+
 def minor_circuits(circuits, delete_mask, contract_mask):
     """Circuit masks of (M delete D) contract T for disjoint masks D, T."""
     cand = []
@@ -421,23 +442,7 @@ def find_minor(n, circuits, rank, n_target, circuits_target, rank_target):
             cand = [c for c in contracted if not (c & dm)]
             if len(cand) != len(circuits_target):
                 continue
-            kept = full & ~tm & ~dm
-            positions = []
-            rest = kept
-            while rest:
-                b = rest & -rest
-                positions.append(b.bit_length() - 1)
-                rest ^= b
-            slot = {p: s for s, p in enumerate(positions)}
-            compressed = []
-            for c in cand:
-                x = 0
-                r = c
-                while r:
-                    b = r & -r
-                    r ^= b
-                    x |= 1 << slot[b.bit_length() - 1]
-                compressed.append(x)
+            compressed = compress(cand, full & ~tm & ~dm)
             if sorted(popcount(c) for c in compressed) != target_sizes:
                 continue
             perm = iso_bijection(n_target, compressed, n_target, circuits_target)

@@ -54,10 +54,10 @@ def cmd_validate(args):
     text = _read(args.file)
     if args.file.endswith(".ckt"):
         m = formats.parse_ckt(text, max_n=args.max_n)
-        print(f"ok explicit-matroid n={m.n} rank={m.rank()} circuits={len(m.circuits)}")
+        print(f"ok explicit-matroid n={m.n} rank={m.rank()} circuits={len(m._masks)}")
     elif args.file.endswith(".lam"):
         p = formats.parse_lam(text)
-        print(f"ok laminar-presentation n={p.n} members={len(p.members)} rank={p.rank()}")
+        print(f"ok laminar-presentation n={p.n} members={len(p._masks)} rank={p.rank()}")
     elif args.file.endswith(".mbs"):
         script = formats.parse_mbs(text)
         p = run_script(script)

@@ -150,16 +150,26 @@ def nested_from_chain(ground, chain):
     for prev, cur in zip(masks, masks[1:]):
         if prev & cur != prev:
             raise NotAChain(gs.set_of(prev), gs.set_of(cur))
-    caps = []
-    seen = set()
+    caps = {}
     for m in masks:
-        if m not in seen:
-            seen.add(m)
-            caps.append((gs.set_of(m), len(seen)))
+        caps.setdefault(m, len(caps) + 1)
     rest = gs.full_mask & ~masks[-1]
     if rest:
-        caps.append((gs.set_of(rest), 0))
-    return LaminarPresentation(gs, caps)
+        caps[rest] = 0
+    return LaminarPresentation._from_masks(gs, caps.items())
+
+
+# Operand count of each op: a step is (op, name, *operands).
+_MBS_ARITY = {"empty": 0, "coloop": 2, "truncate": 1, "dsum": 2}
+
+
+def _check_step(step, error, where=""):
+    """Raise `error` unless `step` has a known op and its operand count."""
+    op = step[0] if step else None
+    if not (isinstance(op, str) and op in _MBS_ARITY):
+        raise error(f"unknown op {op!r}{where}")
+    if len(step) != _MBS_ARITY[op] + 2:
+        raise error(f"bad step {step!r}{where}")
 
 
 @dataclass(frozen=True)
@@ -179,8 +189,8 @@ def run_script(script):
     """Interpret a script into a laminar presentation.
 
     Operands are consumed; referencing a missing or spent name raises
-    UndefinedName, reassignment raises BadParams.  TRUNCATE propagates
-    RankZero from the presentation layer.
+    UndefinedName, reassignment or a malformed step raises BadParams.
+    TRUNCATE propagates RankZero from the presentation layer.
     """
     live = {}
     defined = set()
@@ -191,6 +201,7 @@ def run_script(script):
         return live.pop(name)
 
     for step in script.steps:
+        _check_step(step, BadParams)
         op, name = step[0], step[1]
         if name in defined:
             raise BadParams(f"name {name!r} assigned twice")
@@ -200,10 +211,8 @@ def run_script(script):
             value = take(step[2]).add_coloop(step[3])
         elif op == "truncate":
             value = take(step[2]).truncate()
-        elif op == "dsum":
-            value = take(step[2]).direct_sum(take(step[3]))
         else:
-            raise BadParams(f"unknown op {op!r}")
+            value = take(step[2]).direct_sum(take(step[3]))
         defined.add(name)
         live[name] = value
     if script.result not in live:
@@ -253,15 +262,10 @@ def _emit_chain(ground, out, flats):
 def _restrict(p, keep):
     """Canonical presentation p restricted to a block or a member: the
     non-loop members inside `keep`, and its loops."""
-    caps = [
-        (p.ground.set_of(a), c)
-        for a, c in zip(p._masks, p._caps)
-        if c and a & keep == a
-    ]
-    loops = p._loop_mask() & keep
-    if loops:
-        caps.append((p.ground.set_of(loops), 0))
-    return LaminarPresentation(GroundSet(p.ground.tuple_of(keep)), caps)
+    pairs = [(a, c) for a, c in zip(p._masks, p._caps) if c and a & keep == a]
+    masks, caps = zip(*pairs, (p._loop_mask() & keep, 0))
+    pairs = [(m, c) for m, c in zip(K.compress(masks, keep), caps) if m]
+    return LaminarPresentation._from_masks(GroundSet(p.ground.tuple_of(keep)), pairs)
 
 
 def _dsum_all(out, names):

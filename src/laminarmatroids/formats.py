@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .constructions import ConstructionScript
+from .constructions import _MBS_ARITY, ConstructionScript, _check_step
 from .errors import ParseError
 from .matroid import HARD_CAP, build_matroid
 from .presentation import LaminarPresentation
@@ -70,7 +70,10 @@ def _parse_ground(lineno, line):
 
 
 def render_set(ground, items):
-    mask = ground.mask_of(items)
+    return _render_mask(ground, ground.mask_of(items))
+
+
+def _render_mask(ground, mask):
     return "{" + ",".join(ground.tuple_of(mask)) + "}"
 
 
@@ -107,8 +110,8 @@ def parse_ckt(text, max_n=HARD_CAP):
 
 def render_ckt(m):
     out = ["ground " + " ".join(m.elements)]
-    for c in m.circuits:
-        out.append("circuit " + render_set(m.ground, c))
+    for c in m._masks:
+        out.append("circuit " + _render_mask(m.ground, c))
     out.append(f"rank {m.rank()}")
     return "\n".join(out) + "\n"
 
@@ -152,12 +155,8 @@ def _family_order(p):
 def render_lam(p):
     out = ["ground " + " ".join(p.ground.elements)]
     for i in _family_order(p):
-        member = p.ground.set_of(p._masks[i])
-        out.append(f"cap {render_set(p.ground, member)} {p._caps[i]}")
+        out.append(f"cap {_render_mask(p.ground, p._masks[i])} {p._caps[i]}")
     return "\n".join(out) + "\n"
-
-
-_MBS_ARITY = {"empty": 0, "coloop": 2, "truncate": 1, "dsum": 2}
 
 
 def parse_mbs(text):
@@ -193,16 +192,7 @@ def parse_mbs(text):
 def render_mbs(script):
     out = []
     for step in script.steps:
-        op, name = step[0], step[1]
-        if op == "empty":
-            out.append(f"{name} = empty")
-        elif op == "coloop":
-            out.append(f"{name} = coloop {step[2]} {step[3]}")
-        elif op == "truncate":
-            out.append(f"{name} = truncate {step[2]}")
-        elif op == "dsum":
-            out.append(f"{name} = dsum {step[2]} {step[3]}")
-        else:
-            raise ParseError(f"unknown op {op!r} in script")
+        _check_step(step, ParseError, " in script")
+        out.append(" ".join((step[1], "=", step[0], *step[2:])))
     out.append(f"result {script.result}")
     return "\n".join(out) + "\n"

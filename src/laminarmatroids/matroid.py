@@ -8,7 +8,8 @@ elements; construction decides the circuit axioms on one bitmap of the
 2**n subsets, names a violating pair from that test when they fail, and
 keeps the bitmap.  Each matroid holds its dependent sets as one byte per
 subset, kept from validation or built on first use, and rank and
-independence read it.
+independence read it.  Element names are decoded only at the API; minors
+renumber circuit masks onto the kept elements with the compress kernel.
 """
 
 from __future__ import annotations
@@ -83,12 +84,7 @@ class GroundSet:
         return frozenset(self.tuple_of(mask))
 
     def tuple_of(self, mask):
-        out = []
-        while mask:
-            b = mask & -mask
-            out.append(self.elements[b.bit_length() - 1])
-            mask ^= b
-        return tuple(out)
+        return tuple(self.elements[i] for i in _index_tuple(mask))
 
     @property
     def full_mask(self):
@@ -214,26 +210,19 @@ class ExplicitMatroid:
         return ExplicitMatroid._from_masks(self.ground, masks)
 
     def minor(self, delete=(), contract=()):
-        dm = self.ground.mask_of(delete)
-        tm = self.ground.mask_of(contract)
+        return self._minor(self.ground.mask_of(delete), self.ground.mask_of(contract))
+
+    def _minor(self, dm, tm):
         if dm & tm:
             raise OverlappingSets(self.ground.set_of(dm & tm))
         if not dm | tm:
             return self
         keep = self.ground.full_mask & ~dm & ~tm
-        new_ground = GroundSet(self.ground.tuple_of(keep))
-        slot = {p: s for s, p in enumerate(_index_tuple(keep))}
-        masks = []
-        for c in K.minor_circuits(self._masks, dm, tm):
-            x = 0
-            for p in _index_tuple(c):
-                x |= 1 << slot[p]
-            masks.append(x)
-        return ExplicitMatroid._from_masks(new_ground, masks)
+        masks = K.compress(K.minor_circuits(self._masks, dm, tm), keep)
+        return ExplicitMatroid._from_masks(GroundSet(self.ground.tuple_of(keep)), masks)
 
     def restrict(self, keep):
-        km = self.ground.mask_of(keep)
-        return self.minor(delete=self.ground.set_of(self.ground.full_mask & ~km))
+        return self._minor(self.ground.full_mask & ~self.ground.mask_of(keep), 0)
 
     def truncate(self):
         r = self.rank()
@@ -253,7 +242,7 @@ class ExplicitMatroid:
         for c in self._masks:
             if K.popcount(c) <= 2:
                 drop |= 1 << (c.bit_length() - 1)
-        return self.minor(delete=self.ground.set_of(drop))
+        return self._minor(drop, 0)
 
     def components(self):
         """Partition of the ground into connectivity blocks.
@@ -355,26 +344,20 @@ def parallel_connection(m1, m2, p1, p2):
     Circuits: both original families plus, for every pair of circuits
     through the basepoint, their union minus the basepoint.
     """
-    m1.ground.index(p1)
-    m2.ground.index(p2)
+    pbit = 1 << m1.ground.index(p1)
+    qbit = 1 << m2.ground.index(p2)
     _check_basepoint(m1, p1)
     _check_basepoint(m2, p2)
-    others = [e for e in m2.elements if e != p2]
-    names = _fresh_names(m1.elements, others)
-    mapping = dict(zip(others, names))
+    others = m2.ground.full_mask & ~qbit
+    names = _fresh_names(m1.elements, m2.ground.tuple_of(others))
     ground = GroundSet(m1.elements + tuple(names))
     if len(ground) > HARD_CAP:
         raise TooLarge(len(ground), HARD_CAP)
-    pbit = 1 << ground.index(p1)
-
-    def remap(circuit):
-        x = 0
-        for e in circuit:
-            x |= pbit if e == p2 else 1 << ground.index(mapping.get(e, e))
-        return x
-
     left = list(m1._masks)
-    right = [remap(m2.ground.set_of(c)) for c in m2._masks]
+    right = [
+        x << m1.n | (pbit if c & qbit else 0)
+        for x, c in zip(K.compress(m2._masks, others), m2._masks)
+    ]
     masks = left + right
     for c1 in left:
         if not (c1 & pbit):

@@ -13,6 +13,9 @@ nothing here scans the subsets of the ground.
 Canonical presentations are the unique minimal form: one member per
 circuit closure (computed on the loopless part), capacity equal to the
 member's rank, plus the set of loops as an isolated capacity-0 member.
+
+Members are masks from parse to render: only the constructor decodes
+element names, and every operation builds its result with _from_masks.
 """
 
 from __future__ import annotations
@@ -55,11 +58,8 @@ class LaminarPresentation:
         The pairwise laminarity check also builds the family forest.
         """
         gs = ground if isinstance(ground, GroundSet) else GroundSet(ground)
-        if len(gs) > HARD_CAP:
-            raise TooLarge(len(gs), HARD_CAP)
-        self.ground = gs
         items = caps.items() if hasattr(caps, "items") else caps
-        seen = {}
+        pairs = []
         for member, cap in items:
             m = gs.mask_of(member)
             if m == 0:
@@ -68,10 +68,24 @@ class LaminarPresentation:
                 raise MatroidError(f"capacity {cap!r} is not an integer")
             if cap < 0:
                 raise NegativeCapacity(gs.set_of(m), cap)
-            if m in seen:
-                seen[m] = min(seen[m], cap)
-            else:
-                seen[m] = cap
+            pairs.append((m, cap))
+        self._build(gs, pairs)
+
+    @classmethod
+    def _from_masks(cls, ground, pairs):
+        """A presentation from (nonempty mask, nonnegative int capacity)
+        pairs over the GroundSet `ground`; checks the cap and laminarity."""
+        out = cls.__new__(cls)
+        out._build(ground, pairs)
+        return out
+
+    def _build(self, gs, pairs):
+        if len(gs) > HARD_CAP:
+            raise TooLarge(len(gs), HARD_CAP)
+        self.ground = gs
+        seen = {}
+        for m, cap in pairs:
+            seen[m] = min(seen.get(m, cap), cap)
         masks = sorted(seen, key=_index_tuple)
         # parents[i]: slot of the least member properly containing slot i
         # (the members containing one member form a chain)
@@ -284,13 +298,13 @@ class LaminarPresentation:
 
     def _without(self, e, drop):
         bit = 1 << self.ground.index(e)
-        caps = []
-        for a, c in zip(self._masks, self._caps):
-            m = a & ~bit
-            if m:
-                caps.append((self.ground.set_of(m), c - drop if a & bit else c))
-        rest = [x for x in self.ground.elements if x != e]
-        return LaminarPresentation(GroundSet(rest), caps)
+        keep = self.ground.full_mask & ~bit
+        pairs = [
+            (m, c - drop if a & bit else c)
+            for a, c, m in zip(self._masks, self._caps, K.compress(self._masks, keep))
+            if m
+        ]
+        return LaminarPresentation._from_masks(GroundSet(self.ground.tuple_of(keep)), pairs)
 
     # -- builders -------------------------------------------------------------
 
@@ -299,36 +313,22 @@ class LaminarPresentation:
         if e in self.ground:
             raise DuplicateElement(e)
         gs = GroundSet(self.ground.elements + (e,))
-        caps = [(self.ground.set_of(m), c) for m, c in zip(self._masks, self._caps)]
-        return LaminarPresentation(gs, caps)
+        return LaminarPresentation._from_masks(gs, zip(self._masks, self._caps))
 
     def truncate(self):
         """Cap the whole ground one below the current rank."""
         r = self.rank()
         if r == 0:
             raise RankZero("cannot truncate a rank-zero presentation")
-        caps = []
-        seen_full = False
-        for m, c in zip(self._masks, self._caps):
-            if m == self.ground.full_mask:
-                caps.append((self.ground.set_of(m), min(c, r - 1)))
-                seen_full = True
-            else:
-                caps.append((self.ground.set_of(m), c))
-        if not seen_full:
-            caps.append((self.ground.set_of(self.ground.full_mask), r - 1))
-        return LaminarPresentation(self.ground, caps)
+        pairs = [*zip(self._masks, self._caps), (self.ground.full_mask, r - 1)]
+        return LaminarPresentation._from_masks(self.ground, pairs)
 
     def direct_sum(self, other):
         """Side-by-side union; right-hand identifiers get primes on collision."""
         renamed = _fresh_names(self.ground.elements, other.ground.elements)
         gs = GroundSet(self.ground.elements + tuple(renamed))
-        if len(gs) > HARD_CAP:
-            raise TooLarge(len(gs), HARD_CAP)
-        caps = [(self.ground.set_of(m), c) for m, c in zip(self._masks, self._caps)]
-        for m, c in zip(other._masks, other._caps):
-            caps.append((frozenset(renamed[i] for i in _index_tuple(m)), c))
-        return LaminarPresentation(gs, caps)
+        right = [(m << self.n, c) for m, c in zip(other._masks, other._caps)]
+        return LaminarPresentation._from_masks(gs, [*zip(self._masks, self._caps), *right])
 
     # -- optimisation -----------------------------------------------------------
 
@@ -401,13 +401,10 @@ class CanonicalPresentation(LaminarPresentation):
         in_parallel_class = any(
             a & bit and c == 1 for a, c in zip(self._masks, self._caps)
         )
-        caps = []
-        for a, c in zip(self._masks, self._caps):
-            m = a | fbit if a & bit else a
-            caps.append((gs.set_of(m), c))
+        pairs = [(a | fbit if a & bit else a, c) for a, c in zip(self._masks, self._caps)]
         if not in_parallel_class:
-            caps.append((gs.set_of(bit | fbit), 1))
-        return LaminarPresentation(gs, caps)
+            pairs.append((bit | fbit, 1))
+        return LaminarPresentation._from_masks(gs, pairs)
 
 
 def canonical_from_matroid(m, max_n=DESK_CAP):
@@ -467,13 +464,13 @@ def _canonical(ground, family, evidence, loop_mask):
     """The canonical presentation from member -> capacity and member ->
     evidence circuit masks, plus the loop set as a capacity-0 member
     whose evidence is its least loop."""
-    caps = [(ground.set_of(a), c) for a, c in family.items()]
-    ev = {ground.set_of(a): ground.set_of(c) for a, c in evidence.items()}
-    loop_set = ground.set_of(loop_mask)
     if loop_mask:
-        caps.append((loop_set, 0))
-        ev[loop_set] = ground.set_of(loop_mask & -loop_mask)
-    return CanonicalPresentation(ground, caps, loop_set, ev)
+        family[loop_mask] = 0
+        evidence[loop_mask] = loop_mask & -loop_mask
+    out = CanonicalPresentation._from_masks(ground, family.items())
+    out.loop_set = ground.set_of(loop_mask)
+    out.evidence = {ground.set_of(a): ground.set_of(c) for a, c in evidence.items()}
+    return out
 
 
 def _least_circuit(p, slot):

@@ -214,6 +214,17 @@ class TestRunScript:
         with pytest.raises(UndefinedName):
             run_script(s)
 
+    def test_malformed_steps_raise_bad_params(self):
+        for step in (("coloop", "x", "a"), ("truncate", "t", "a", "b"), ("empty",)):
+            s = ConstructionScript(steps=(("empty", "a"), step), result="a")
+            with pytest.raises(BadParams, match="bad step"):
+                run_script(s)
+        s = ConstructionScript(steps=(("grow", "x", "a"),), result="x")
+        with pytest.raises(BadParams, match="unknown op 'grow'"):
+            run_script(s)
+        with pytest.raises(BadParams, match="unknown op"):
+            run_script(ConstructionScript(steps=((["empty"], "x"),), result="x"))
+
     def test_reassignment_rejected(self):
         s = ConstructionScript(
             steps=(("empty", "a"), ("empty", "a")), result="a"

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from _corpus import random_laminar_presentation, random_script
 from laminarmatroids import (
+    ConstructionScript,
     MatroidError,
     ParseError,
     TooLarge,
     canonical_from_matroid,
+    canonicalize,
     deconstruct,
     excluded_minor,
     run_script,
@@ -26,6 +28,7 @@ from laminarmatroids.formats import (
     render_ckt,
     render_lam,
     render_mbs,
+    render_set,
 )
 
 EM3_TEXT = """\
@@ -176,6 +179,38 @@ class TestMbs:
     def test_deconstruct_output_parses(self):
         s = deconstruct(canonical_from_matroid(uniform(2, 4)))
         assert parse_mbs(render_mbs(s)) == s
+
+    def test_render_rejects_malformed_steps(self):
+        for step in (("coloop", "x", "a"), ("truncate", "t", "a", "b"), ("empty",)):
+            with pytest.raises(ParseError, match="bad step"):
+                render_mbs(ConstructionScript(steps=(("empty", "a"), step), result="x"))
+        with pytest.raises(ParseError, match="unknown op 'grow' in script"):
+            render_mbs(ConstructionScript(steps=(("grow", "x", "a"),), result="x"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_render_parse_render_keeps_the_bytes(seed):
+    """.lam from random presentations, .ckt from their circuits and a
+    random minor, .mbs from their deconstruction scripts."""
+    rng = random.Random(seed)
+    p = random_laminar_presentation(rng)
+    text = render_lam(p)
+    assert render_lam(parse_lam(text)) == text
+    m = p.to_explicit()
+    split = [rng.randrange(3) for _ in m.elements]
+    minor = m.minor(
+        delete=[e for e, k in zip(m.elements, split) if k == 1],
+        contract=[e for e, k in zip(m.elements, split) if k == 2],
+    )
+    for x in (m, minor):
+        text = render_ckt(x)
+        assert render_ckt(parse_ckt(text)) == text
+        # the circuits render as their name sets do
+        lines = ["circuit " + render_set(x.ground, c) for c in x.circuits]
+        assert text.splitlines()[1:-1] == lines
+    text = render_mbs(deconstruct(canonicalize(p)))
+    assert render_mbs(parse_mbs(text)) == text
 
 
 # Words of all three formats, so generated lines get past the first

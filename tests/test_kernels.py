@@ -7,8 +7,9 @@ compared with `_oracles`, which works on frozensets of indices.
 Enumeration order reaches the CLI's stdout, so the order contracts are
 asserted exactly: submasks, minimal sets and truncation circuits come out
 in ascending order, cocircuits smallest first, verify_elimination names
-the first failing pair in loop order, and find_minor returns the first
-(T, D) pair in its loop order that presents the target.  check_circuits
+the first failing pair in loop order, find_minor returns the first
+(T, D) pair in its loop order that presents the target, and compress
+keeps each mask's bits in order of their position within the kept set.  check_circuits
 is checked against the axioms on the same pools and on Hypothesis-drawn
 families: its verdict, its dependent-set bitmap, the first containment
 for a non-antichain, and for an elimination failure the pair its failing
@@ -295,6 +296,18 @@ def test_laminar_circuit_masks_agree_with_brute_force():
         )
         want = oracle.brute_circuits(range(n), indep)
         assert sorted(oracle.laminar_circuit_masks(n, sets, caps)) == masks(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    keep=st.integers(0, (1 << 16) - 1),
+    fam=st.lists(st.integers(0, (1 << 16) - 1), max_size=8),
+)
+def test_compress_agrees_with_brute_force(keep, fam):
+    # bit i of the j-th kept position becomes bit j; the rest is dropped
+    kept = sorted(bits(keep))
+    want = [mask(j for j, i in enumerate(kept) if i in bits(f)) for f in fam]
+    assert K.compress(fam, keep) == want
 
 
 def check_iso(n, cs1, cs2):

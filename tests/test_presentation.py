@@ -16,18 +16,22 @@ from laminarmatroids import (
     DuplicateElement,
     EmptyMemberSet,
     ForeignElement,
+    GroundSet,
     LaminarPresentation,
     LoopBase,
     MatroidError,
     NegativeCapacity,
     NotLaminar,
     RankZero,
+    TooLarge,
     canonical_from_matroid,
     canonicalize,
     circuit,
     direct_sum,
+    excluded_minor,
     uniform,
 )
+from laminarmatroids.constructions import _restrict
 
 GROUND4 = ("a", "b", "c", "d")
 CHAIN = LaminarPresentation(GROUND4, {frozenset("ab"): 1, frozenset("abcd"): 2})
@@ -340,6 +344,70 @@ class TestMaxWeight:
             got = sum(Fraction(weights[e]) for e in sol) if sol else Fraction(0)
             ind = oracle.laminar_independent(members_with_caps(p).items())
             assert got == oracle.brute_max_weight(p.elements, ind, weights)
+
+
+class TestMaskBuilders:
+    """The builders work on member masks; each result equals the
+    presentation the public constructor builds from the same member name
+    sets, written out here from the operation's definition."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_minors_coloop_truncate_and_sum(self, seed):
+        rng = random.Random(seed)
+        p = random_laminar_presentation(rng, n_max=8)
+        items = list(members_with_caps(p).items())
+        for e in p.elements:
+            rest = [x for x in p.elements if x != e]
+            cut = [(a - {e}, c) for a, c in items if a - {e}]
+            assert p.delete(e) == LaminarPresentation(rest, cut)
+            drop = p.rank({e})
+            cut = [(a - {e}, c - drop if e in a else c) for a, c in items if a - {e}]
+            assert p.contract(e) == LaminarPresentation(rest, cut)
+        assert p.add_coloop("z") == LaminarPresentation(p.elements + ("z",), items)
+        r, full = p.rank(), frozenset(p.elements)
+        if r:
+            want = {a: min(c, r - 1) if a == full else c for a, c in items}
+            want.setdefault(full, r - 1)
+            assert p.truncate() == LaminarPresentation(p.elements, want)
+        q = random_laminar_presentation(rng, n_max=6)
+        s = p.direct_sum(q)
+        assert s.elements[: p.n] == p.elements
+        rename = dict(zip(q.elements, s.elements[p.n :]))
+        right = [(frozenset(rename[x] for x in a), c) for a, c in members_with_caps(q).items()]
+        assert s == LaminarPresentation(s.elements, items + right)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_canonical_parallel_extend_and_restrict(self, seed):
+        rng = random.Random(seed)
+        c = canonicalize(random_laminar_presentation(rng, n_max=8))
+        items = list(members_with_caps(c).items())
+        assert c == CanonicalPresentation(c.elements, items, c.loop_set, c.evidence)
+        for e in sorted(set(c.elements) - c.loop_set):
+            want = [(a | {"f"} if e in a else a, cap) for a, cap in items]
+            if not any(e in a and cap == 1 for a, cap in items):
+                want.append((frozenset((e, "f")), 1))
+            assert c.parallel_extend(e, "f") == LaminarPresentation(c.elements + ("f",), want)
+        for keep in [*c.members, frozenset(c.elements)]:
+            want = [(a, cap) for a, cap in items if cap and a <= keep]
+            if c.loop_set & keep:
+                want.append((c.loop_set & keep, 0))
+            ground = [x for x in c.elements if x in keep]
+            assert _restrict(c, c.ground.mask_of(keep)) == LaminarPresentation(ground, want)
+
+    def test_crossing_masks_raise_not_laminar(self):
+        with pytest.raises(NotLaminar):
+            LaminarPresentation._from_masks(GroundSet("abc"), [(0b011, 1), (0b110, 1)])
+        with pytest.raises(NotLaminar):
+            canonical_from_matroid(excluded_minor(3))
+
+    def test_builders_past_the_hard_cap_raise_too_large(self):
+        p = LaminarPresentation([f"e{i}" for i in range(16)], {})
+        with pytest.raises(TooLarge):
+            p.add_coloop("x")
+        with pytest.raises(TooLarge):
+            p.direct_sum(LaminarPresentation("a", {}))
 
 
 @settings(max_examples=120, deadline=None)
