@@ -9,7 +9,12 @@ Each workload is one kernel call, timed with perf_counter; the best of
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 import time
+
+# Import the package from this checkout's src/, as perfbench/ does.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 import laminarmatroids._kernels_py as pure
 from laminarmatroids import (

@@ -22,6 +22,7 @@ from .errors import (
 )
 from .matroid import (
     DESK_CAP,
+    HARD_CAP,
     ExplicitMatroid,
     GroundSet,
     build_matroid,
@@ -275,7 +276,7 @@ def _dsum_all(out, names):
     return acc
 
 
-def _script(p, out, max_n):
+def _script(p, out):
     """Emit the steps for canonical presentation p; returns their name."""
     if p.n == 0:
         return out.emit("empty")
@@ -292,16 +293,16 @@ def _script(p, out, max_n):
     blocks = roots + [1 << e for e in range(p.n) if singles >> e & 1]
     if len(blocks) > 1:
         blocks.sort(key=lambda b: b & -b)
-        return _dsum_all(out, [_script(_restrict(p, b), out, max_n) for b in blocks])
+        return _dsum_all(out, [_script(_restrict(p, b), out) for b in blocks])
     whole = p._slot[p.ground.full_mask]
     loose = p._free_mask(whole)
     if loose:
         e = p.ground.elements[(loose & -loose).bit_length() - 1]
-        name = _script(canonicalize(p.delete(e), max_n), out, max_n)
+        name = _script(canonicalize(p.delete(e), HARD_CAP), out)
         name = out.emit("coloop", name, e)
         return out.emit("truncate", name)
     kids = p._kids[whole]
-    acc = _dsum_all(out, [_script(_restrict(p, masks[k]), out, max_n) for k in kids])
+    acc = _dsum_all(out, [_script(_restrict(p, masks[k]), out) for k in kids])
     for _ in range(sum(caps[k] for k in kids) - caps[whole]):
         acc = out.emit("truncate", acc)
     return acc
@@ -325,7 +326,7 @@ def deconstruct(p, max_n=DESK_CAP):
     if p.n > max_n:
         raise TooLarge(p.n, max_n)
     out = _Emitter()
-    result = _script(p, out, max_n)
+    result = _script(p, out)
     return ConstructionScript(steps=tuple(out.steps), result=result)
 
 

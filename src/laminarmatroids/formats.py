@@ -23,10 +23,13 @@ _NATURAL = re.compile(r"[0-9]+\Z")
 
 
 def _significant_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+    """(line number, text) of each line left once comments and blanks go;
+    raises ParseError when none is left."""
+    lines = [(i, raw.split("#", 1)[0].strip()) for i, raw in enumerate(text.splitlines(), 1)]
+    lines = [(i, line) for i, line in lines if line]
+    if not lines:
+        raise ParseError("empty input")
+    return lines
 
 
 def _tokens(lineno, line):
@@ -79,9 +82,7 @@ def _render_mask(ground, mask):
 
 def parse_ckt(text, max_n=HARD_CAP):
     """Parse an explicit matroid; an optional single rank line is checked."""
-    lines = list(_significant_lines(text))
-    if not lines:
-        raise ParseError("empty input")
+    lines = _significant_lines(text)
     ground = _parse_ground(*lines[0])
     circuits = []
     asserted_rank = None
@@ -118,9 +119,7 @@ def render_ckt(m):
 
 def parse_lam(text):
     """Parse a capacity family over a ground line."""
-    lines = list(_significant_lines(text))
-    if not lines:
-        raise ParseError("empty input")
+    lines = _significant_lines(text)
     ground = _parse_ground(*lines[0])
     caps = []
     for lineno, line in lines[1:]:
@@ -161,9 +160,7 @@ def render_lam(p):
 
 def parse_mbs(text):
     """Parse a construction script; the result line must come last."""
-    lines = list(_significant_lines(text))
-    if not lines:
-        raise ParseError("empty input")
+    lines = _significant_lines(text)
     steps = []
     result = None
     for lineno, line in lines:

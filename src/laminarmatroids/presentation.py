@@ -7,8 +7,11 @@ immutable values; every operation returns a fresh object.
 
 Each presentation holds its family forest (parent and child slots, and
 the slots by member size), built once beside the laminarity check.
-Rank, circuits and the canonical form are all read off that forest:
-nothing here scans the subsets of the ground.
+One dynamic programme up that forest, _slot_ranks, gives the rank of a
+set inside every member: min(c(A), |free hits| + the children's ranks).
+The rank, the tops that carry circuits, the size splits of circuit
+enumeration and the canonical form are all read off it; nothing here
+scans the subsets of the ground or counts them.
 
 Canonical presentations are the unique minimal form: one member per
 circuit closure (computed on the loopless part), capacity equal to the
@@ -21,7 +24,6 @@ element names, and every operation builds its result with _from_masks.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from ._backend import kernels as K
 from .errors import (
@@ -187,43 +189,36 @@ class LaminarPresentation:
                 out |= a
         return out
 
-    def _split_counts(self):
-        """ways[i][t][k]: the k-subsets of slot i's children t, t+1, ...
-        and its free part that overfill no member below slot i.
+    def _below(self, f, i, t=0):
+        """Free-element count of slot i plus f over its children t, t+1, ...:
+        the rank of f's set in slot i's member before its own capacity."""
+        return K.popcount(self._free_mask(i)) + sum(f[k] for k in self._kids[i][t:])
 
-        ways[i][0] is the member's counting polynomial; the circuits
-        whose least overfilled member is a top (A, c) are the subsets it
-        counts at k = c + 1.
-        """
-        ways = [None] * len(self._masks)
-        for i in self._order:
-            free = K.popcount(self._free_mask(i))
-            rows = [[comb(free, k) for k in range(free + 1)]]
-            for k in reversed(self._kids[i]):
-                rows.append(_times(ways[k][0][: self._caps[k] + 1], rows[-1]))
-            rows.reverse()
-            ways[i] = rows
-        return ways
-
-    def _circuit_tops(self, ways):
-        """Tops (slot, capacity) with at least one circuit.
+    def _circuit_tops(self, f):
+        """Tops (slot, capacity) with at least one circuit, given the slot
+        ranks f of the whole ground.
 
         A top is a member whose ancestors all have at least its capacity:
         exactly the members that can be the least overfilled member of a
-        circuit.
+        circuit.  It has a circuit when the subsets overfilling no member
+        below it reach size c + 1.
         """
         for i, c in enumerate(self._caps):
             p = self._parents[i]
             while p >= 0 and self._caps[p] >= c:
                 p = self._parents[p]
-            if p < 0 and c + 1 < len(ways[i][0]) and ways[i][0][c + 1]:
+            if p < 0 and self._below(f, i) > c:
                 yield i, c
 
     def _circuit_masks(self):
-        """Every circuit once, generated lazily child by child; a size
-        split is tried only when the counts say it can be completed."""
-        ways = self._split_counts()
-        caps = self._caps
+        """Every circuit once, generated lazily child by child.
+
+        The subsets of a member's children t, t+1, ... and free part that
+        overfill no member below it come in every size up to _below, the
+        sum of their slot ranks, so a size split is tried only when both
+        the child and the rest of the member can reach their part.
+        """
+        f = self._slot_ranks(self.ground.full_mask)
 
         def fill(i, size, t=0):
             kids = self._kids[i]
@@ -231,36 +226,34 @@ class LaminarPresentation:
                 yield from K.submasks_of_size(self._free_mask(i), size)
                 return
             k = kids[t]
-            inner, rest = ways[k][0], ways[i][t + 1]
-            for j in range(min(caps[k], size, len(inner) - 1) + 1):
-                if inner[j] and size - j < len(rest) and rest[size - j]:
-                    for part in fill(k, j):
-                        for tail in fill(i, size - j, t + 1):
-                            yield part | tail
+            for j in range(max(0, size - self._below(f, i, t + 1)), min(f[k], size) + 1):
+                for part in fill(k, j):
+                    for tail in fill(i, size - j, t + 1):
+                        yield part | tail
 
-        for i, c in self._circuit_tops(ways):
+        for i, c in self._circuit_tops(f):
             yield from fill(i, c + 1)
 
     # -- matroid queries ----------------------------------------------------
 
     def is_independent(self, items):
-        x = self.ground.mask_of(items)
-        for a, c in zip(self._masks, self._caps):
-            if K.popcount(a & x) > c:
-                return False
-        return True
+        return self._independent(self.ground.mask_of(items))
+
+    def _independent(self, x):
+        return all(K.popcount(a & x) <= c for a, c in zip(self._masks, self._caps))
 
     def rank(self, items=None):
         """Largest independent subset size, by dynamic programming up the
-        family forest: a member yields min(capacity, free hits + child sum)."""
+        family forest (see _slot_ranks)."""
         if items is None:
             return self._rank_mask(self.ground.full_mask)
         return self._rank_mask(self.ground.mask_of(items))
 
-    def _rank_mask(self, x):
+    def _slot_ranks(self, x):
+        """f[i]: the rank of mask x inside slot i's member under the
+        capacities of that member and those below it, which is
+        min(capacity, free hits + the children's f)."""
         f = [0] * len(self._masks)
-        top = x
-        total = 0
         for i in self._order:
             inner = self._masks[i] & x
             got = 0
@@ -268,10 +261,16 @@ class LaminarPresentation:
                 inner &= ~self._masks[k]
                 got += f[k]
             f[i] = min(self._caps[i], K.popcount(inner) + got)
-            if self._parents[i] < 0:
-                top &= ~self._masks[i]
+        return f
+
+    def _rank_mask(self, x):
+        f = self._slot_ranks(x)
+        total = 0
+        for i, p in enumerate(self._parents):
+            if p < 0:
+                x &= ~self._masks[i]
                 total += f[i]
-        return K.popcount(top) + total
+        return K.popcount(x) + total
 
     def to_explicit(self, max_n=DESK_CAP):
         """The circuits, read off the family forest; guarded by the size cap.
@@ -341,30 +340,13 @@ class LaminarPresentation:
         """
         for e in weights:
             self.ground.index(e)
-        order = sorted(
-            range(self.n),
-            key=lambda i: (
-                -Fraction(weights.get(self.ground.elements[i], 0)),
-                i,
-            ),
-        )
-        used = [0] * len(self._masks)
+        w = [Fraction(weights.get(e, 0)) for e in self.ground.elements]
         chosen = 0
-        for i in order:
-            w = Fraction(weights.get(self.ground.elements[i], 0))
-            if w <= 0:
+        for i in sorted(range(self.n), key=lambda i: (-w[i], i)):
+            if w[i] <= 0:
                 break
-            b = 1 << i
-            ok = True
-            for s, a in enumerate(self._masks):
-                if a & b and used[s] + 1 > self._caps[s]:
-                    ok = False
-                    break
-            if ok:
-                chosen |= b
-                for s, a in enumerate(self._masks):
-                    if a & b:
-                        used[s] += 1
+            if self._independent(chosen | 1 << i):
+                chosen |= 1 << i
         return self.ground.set_of(chosen)
 
 
@@ -444,7 +426,7 @@ def canonicalize(p, max_n=DESK_CAP):
     loop_mask = p._loop_mask()
     family = {}
     evidence = {}
-    for i, c in p._circuit_tops(p._split_counts()):
+    for i, c in p._circuit_tops(p._slot_ranks(p.ground.full_mask)):
         if c == 0:
             continue
         a = p._masks[i]
@@ -495,12 +477,3 @@ def _least_circuit(p, slot):
         if all(K.popcount(trial & b) <= c for b, c in below):
             chosen = trial
     return chosen
-
-
-def _times(p, q):
-    """Product of two polynomials given as coefficient lists."""
-    out = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
-    return out

@@ -213,6 +213,13 @@ def test_render_parse_render_keeps_the_bytes(seed):
     assert render_mbs(parse_mbs(text)) == text
 
 
+@pytest.mark.parametrize("parse", [parse_ckt, parse_lam, parse_mbs])
+@pytest.mark.parametrize("text", ["", "# only a comment\n", "\n  # a\n\t# b\n"])
+def test_comment_only_input_is_empty(parse, text):
+    with pytest.raises(ParseError, match="empty input"):
+        parse(text)
+
+
 # Words of all three formats, so generated lines get past the first
 # directive check, plus characters the tokenizer treats specially.
 _WORDS = st.sampled_from(

@@ -88,6 +88,50 @@ class TestFamilyForest:
                 query(frozenset("abc"))
 
 
+def forest_sample(seed):
+    """Random presentations, each followed by an inflated copy."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(80):
+        p = random_laminar_presentation(rng, n_max=7)
+        out += [p, inflate(rng, p)[0]]
+    return out
+
+
+class TestRankDP:
+    """The slot ranks and the circuit tops read off them, against brute
+    force on random presentations, inflated ones included."""
+
+    def test_slot_ranks_are_member_ranks(self):
+        """f[i] is the rank of x inside member i under the capacities of
+        member i and the members below it."""
+        rng = random.Random(12)
+        for p in forest_sample(10):
+            caps = members_with_caps(p)
+            x = p.ground.set_of(rng.getrandbits(p.n))
+            for within in (p.elements, x):
+                want = [
+                    oracle.brute_rank(
+                        oracle.laminar_independent((b, c) for b, c in caps.items() if b <= a),
+                        a & frozenset(within),
+                    )
+                    for a in p.members
+                ]
+                assert p._slot_ranks(p.ground.mask_of(within)) == want
+
+    def test_circuit_tops_are_least_overfilled_members(self):
+        for p in forest_sample(11):
+            caps = members_with_caps(p)
+            ind = oracle.laminar_independent(caps.items())
+            least = set()
+            for c in oracle.brute_circuits(p.elements, ind):
+                over = [a for a, k in caps.items() if len(c & a) > k]
+                a = min(over, key=len)
+                least.add((a, caps[a]))
+            tops = p._circuit_tops(p._slot_ranks(p.ground.full_mask))
+            assert {(p.members[i], c) for i, c in tops} == least
+
+
 class TestIndependenceAndRank:
     def test_examples(self):
         assert CHAIN.is_independent(("a", "c"))
@@ -333,6 +377,22 @@ class TestMaxWeight:
         p = LaminarPresentation("xy", {frozenset("xy"): 1})
         w = {"x": Fraction(1, 3), "y": Fraction(1, 2)}
         assert p.max_weight_independent(w) == frozenset("y")
+
+    def test_ties_give_the_greedy_set(self):
+        assert CHAIN.max_weight_independent({e: 1 for e in GROUND4}) == frozenset("ac")
+        rng = random.Random(13)
+        for p in forest_sample(14):
+            kept = rng.sample(p.elements, rng.randint(0, p.n))
+            weights = {e: rng.choice((-1, 0, 1, 2, 2, 3)) for e in kept}
+            ind = oracle.laminar_independent(members_with_caps(p).items())
+            # decreasing weight, identifier order on ties, positive weights only
+            want = set()
+            for e in sorted(p.elements, key=lambda e: (-weights.get(e, 0), p.elements.index(e))):
+                if weights.get(e, 0) <= 0:
+                    break
+                if ind(want | {e}):
+                    want.add(e)
+            assert p.max_weight_independent(weights) == want
 
     def test_matches_brute_force(self):
         rng = random.Random(9)
