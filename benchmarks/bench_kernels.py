@@ -1,4 +1,4 @@
-"""Time the kernels on ten fixed bitmask inputs.
+"""Time the kernels on eleven fixed bitmask inputs.
 
 Each workload is one kernel call, timed with perf_counter; the best of
 --repeat runs is printed.  Run from the repository root:
@@ -45,14 +45,17 @@ def workloads():
         blocks = direct_sum(blocks, uniform(1, 2))
 
     c1, n1, r1 = masks_of(host1)
+    dep1 = host1._dependents()
     nb = blocks.n
     dep_b, closures_b = blocks._dependents(), blocks._circuit_closures()
     c2, n2, r2 = masks_of(host2)
+    dep2 = host2._dependents()
     cem3, nem3, rem3 = masks_of(em3)
     cem4, nem4, rem4 = masks_of(em4)
     c511, n511, r511 = masks_of(u511)
     c410, n410, r410 = masks_of(u410)
     c816, n816, r816 = masks_of(u816)
+    dep816 = u816._dependents()
     c715c, n715c, _ = masks_of(u715c)
     dep715c = u715c._dependents()
     # u(8,16) without its middle circuit fails elimination
@@ -66,11 +69,11 @@ def workloads():
     return [
         (
             "find_minor hit  (n=11 host, rank-3 excluded minor)",
-            lambda k: k.find_minor(n1, c1, r1, nem3, cem3, rem3),
+            lambda k: k.find_minor(dep1, n1, c1, r1, nem3, cem3, rem3),
         ),
         (
             "find_minor miss (n=11 host, rank-4 excluded minor)",
-            lambda k: k.find_minor(n2, c2, r2, nem4, cem4, rem4),
+            lambda k: k.find_minor(dep2, n2, c2, r2, nem4, cem4, rem4),
         ),
         (
             "verify_elimination (462 circuits, n=11)",
@@ -103,6 +106,10 @@ def workloads():
         (
             "closure_mask per circuit (6435 circuits, n=16)",
             lambda k: [k.closure_mask(dep715c, c, n715c) for c in c715c],
+        ),
+        (
+            "minor_circuits contracting 3 (11440 circuits, n=16)",
+            lambda k: k.minor_circuits(dep816, c816, 0, 0b111),
         ),
     ]
 

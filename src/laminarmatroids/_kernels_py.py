@@ -16,9 +16,9 @@ Reading a bit of such an int costs O(2**n), so per-mask tests read one
 these bitmaps and, only when they fail, names the violation from the
 failing region rather than by scanning every pair of circuits.
 
-Closure reads D too: with B a basis of X grown greedily, e lies in
-cl(X) iff e is in X or B + e is dependent.  cyclic_flat_masks closes
-joins of circuit closures that way.
+Closure and contraction read D too: with B a basis of X grown greedily,
+e lies in cl(X) iff e is in X or B + e is dependent, and a set avoiding X
+is dependent in M/X iff it is dependent in M once B is added.
 """
 
 from __future__ import annotations
@@ -57,22 +57,6 @@ def submasks_of_size(universe, k):
         u = v & -v
         t = v + u
         v = t | (((v ^ t) // u) >> 2)
-
-
-def minimal_sets(masks):
-    """Inclusion-minimal members, deduplicated, ascending numeric order."""
-    uniq = sorted(set(masks), key=lambda m: (popcount(m), m))
-    kept = []
-    for m in uniq:
-        ok = True
-        for f in kept:
-            if f & m == f:
-                ok = False
-                break
-        if ok:
-            kept.append(m)
-    kept.sort()
-    return kept
 
 
 def _greedy_basis(dep, x):
@@ -154,11 +138,17 @@ def _at_least(indep, k, n):
 
 
 _BYTE_OF_DIGIT = bytes.maketrans(b"01", b"\0\1")
+_DIGIT_OF_BYTE = bytes.maketrans(b"\0\1", b"01")
 
 
 def _bytes(bitmap, n):
     """A bitmap over the 2**n masks as one 0/1 byte per mask."""
     return format(bitmap, f"0{1 << n}b")[::-1].encode().translate(_BYTE_OF_DIGIT)
+
+
+def _bitmap(flags):
+    """The bitmap whose bytes, as _bytes gives them, are `flags`."""
+    return int(flags.translate(_DIGIT_OF_BYTE)[::-1], 2)
 
 
 def _members(bitmap):
@@ -307,16 +297,23 @@ def compress(masks, keep):
     return out
 
 
-def minor_circuits(circuits, delete_mask, contract_mask):
-    """Circuit masks of (M delete D) contract T for disjoint masks D, T."""
-    cand = []
-    for c in circuits:
-        if c & delete_mask:
-            continue
-        c &= ~contract_mask
-        if c:
-            cand.append(c)
-    return minimal_sets(cand)
+def minor_circuits(dep, circuits, delete_mask, contract_mask):
+    """Circuit masks of (M delete D) contract T for disjoint masks D, T,
+    ascending, with `dep` M's D as dependents gives it: each distinct
+    nonempty C - T, C avoiding D, that no one element's removal leaves
+    dependent in M/T (Oxley, *Matroid Theory*, Ch. 3)."""
+    b = _greedy_basis(dep, contract_mask)
+    out = []
+    for x in {c & ~contract_mask for c in circuits if not c & delete_mask} - {0}:
+        rest = x
+        while rest:
+            e = rest & -rest
+            rest ^= e
+            if dep[x ^ e | b]:
+                break
+        else:
+            out.append(x)
+    return sorted(out)
 
 
 def cyclic_flat_masks(n, dep, closures):
@@ -413,29 +410,27 @@ def iso_bijection(n1, circuits1, n2, circuits2):
     return None
 
 
-def find_minor(n, circuits, rank, n_target, circuits_target, rank_target):
+def find_minor(dep, n, circuits, rank, n_target, circuits_target, rank_target):
     """First (delete_mask, contract_mask, bijection) presenting the target
-    as a minor, or None.
+    as a minor of the host with dependent-set bytes `dep`, or None.
 
     Contract sets T are independent, delete sets D are coindependent (E
     minus D spans); any minor admits such a representation.  T ascends over
     bit patterns, then D ascends over bit patterns disjoint from T; the
     bijection maps the kept elements (compressed in ascending index order)
-    onto the target.  Independence reads D and spanning reads R_rank.
+    onto the target.  Independence and circuits read D, spanning R_rank.
     """
     t = rank - rank_target
     d = n - n_target - t
     if t < 0 or d < 0:
         return None
     full = (1 << n) - 1
-    dep = _dependent_bitmap(circuits, n)
-    spans = _bytes(_at_least(~dep, rank, n), n)
-    dep = _bytes(dep, n)
+    spans = _bytes(_at_least(~_bitmap(dep), rank, n), n)
     target_sizes = sorted(popcount(c) for c in circuits_target)
     for tm in submasks_of_size(full, t):
         if dep[tm]:
             continue
-        contracted = minor_circuits(circuits, 0, tm)
+        contracted = minor_circuits(dep, circuits, 0, tm)
         for dm in submasks_of_size(full & ~tm, d):
             if not spans[full & ~dm]:
                 continue

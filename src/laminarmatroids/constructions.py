@@ -48,6 +48,8 @@ def uniform(r, n, names=None):
     names = _default_names(n) if names is None else tuple(names)
     if len(names) != n:
         raise BadParams(f"expected {n} names, got {len(names)}")
+    if n > HARD_CAP:
+        raise TooLarge(n, HARD_CAP)
     gs = GroundSet(names)
     masks = []
     if r < n:

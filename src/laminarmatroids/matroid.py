@@ -7,9 +7,9 @@ deterministic output and greedy tie-break.  Ground sets are capped at 16
 elements; construction decides the circuit axioms on one bitmap of the
 2**n subsets, names a violating pair from that test when they fail, and
 keeps the bitmap.  Each matroid holds its dependent sets as one byte per
-subset, kept from validation or built on first use, and rank and
-independence read it.  Element names are decoded only at the API; minors
-renumber circuit masks onto the kept elements with the compress kernel.
+subset, kept from validation or built on first use; rank, independence,
+closure and minors read it.  Element names are decoded only at the API;
+minors renumber circuit masks onto the kept elements with compress.
 """
 
 from __future__ import annotations
@@ -218,7 +218,7 @@ class ExplicitMatroid:
         if not dm | tm:
             return self
         keep = self.ground.full_mask & ~dm & ~tm
-        masks = K.compress(K.minor_circuits(self._masks, dm, tm), keep)
+        masks = K.compress(K.minor_circuits(self._dependents(), self._masks, dm, tm), keep)
         return ExplicitMatroid._from_masks(GroundSet(self.ground.tuple_of(keep)), masks)
 
     def restrict(self, keep):
@@ -405,15 +405,10 @@ def has_minor(m, target):
     Only pairs (delete, contract) with an independent contract set and a
     coindependent delete set are tried (every minor admits one); pairs
     are scanned in ascending bit-pattern order and the first isomorphism
-    found is returned.
+    found is returned.  The search reads m's stored dependent sets.
     """
     res = K.find_minor(
-        m.n,
-        list(m._masks),
-        m.rank(),
-        target.n,
-        list(target._masks),
-        target.rank(),
+        m._dependents(), m.n, m._masks, m.rank(), target.n, target._masks, target.rank()
     )
     if res is None:
         return None
@@ -430,8 +425,12 @@ def has_minor(m, target):
 
 
 def apply_witness(m, witness, target):
-    """True when the witness really presents the target as a minor of m."""
-    got = m.minor(delete=witness.delete, contract=witness.contract)
+    """True when the witness really presents the target as a minor of m;
+    False also when it names a foreign element or overlaps its sets."""
+    try:
+        got = m.minor(delete=witness.delete, contract=witness.contract)
+    except (ForeignElement, OverlappingSets):
+        return False
     trans = witness.as_dict()
     if sorted(trans) != sorted(got.elements):
         return False

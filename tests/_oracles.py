@@ -2,9 +2,11 @@
 
 Everything here works from first definitions on tiny inputs: powerset
 scans, permutation search, no library internals, and no bitmasks except
-in laminar_circuit_masks.  Slow on purpose; keep n small.  The two
-exceptions, explicit_deconstruct and search_excluded_minor_witness, keep
-computations the library no longer makes, built from its public calls.
+in laminar_circuit_masks and minimal_sets.  Slow on purpose; keep n
+small.  The three exceptions keep computations the library no longer
+makes: explicit_deconstruct and search_excluded_minor_witness are built
+from its public calls, and reference_find_minor is the minor search as
+it ran before contractions read their circuits off the dependent sets.
 """
 
 from __future__ import annotations
@@ -105,6 +107,49 @@ def brute_minor(elements, circuits, delete=(), contract=()):
         )
 
     return keep, brute_circuits(keep, minor_independent)
+
+
+def minimal_sets(masks):
+    """Inclusion-minimal members, deduplicated, ascending numeric order."""
+    kept = []
+    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+        if not any(f & m == f for f in kept):
+            kept.append(m)
+    return sorted(kept)
+
+
+def reference_find_minor(n, circuits, rank, n_target, circuits_target, rank_target):
+    """find_minor's loop with each contraction's circuits taken as the
+    minimal_sets of the C - T: the same (delete_mask, contract_mask,
+    bijection) or None, for a test to compare the kernel with."""
+    from laminarmatroids import _kernels_py as K
+
+    t = rank - rank_target
+    d = n - n_target - t
+    if t < 0 or d < 0:
+        return None
+    full = (1 << n) - 1
+    dep = K._dependent_bitmap(circuits, n)
+    spans = K._bytes(K._at_least(~dep, rank, n), n)
+    dep = K._bytes(dep, n)
+    target_sizes = sorted(c.bit_count() for c in circuits_target)
+    for tm in K.submasks_of_size(full, t):
+        if dep[tm]:
+            continue
+        contracted = minimal_sets(c & ~tm for c in circuits if c & ~tm)
+        for dm in K.submasks_of_size(full & ~tm, d):
+            if not spans[full & ~dm]:
+                continue
+            cand = [c for c in contracted if not (c & dm)]
+            if len(cand) != len(circuits_target):
+                continue
+            compressed = K.compress(cand, full & ~tm & ~dm)
+            if sorted(c.bit_count() for c in compressed) != target_sizes:
+                continue
+            perm = K.iso_bijection(n_target, compressed, n_target, circuits_target)
+            if perm is not None:
+                return (dm, tm, perm)
+    return None
 
 
 def brute_isomorphism(e1, c1, e2, c2):

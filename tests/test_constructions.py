@@ -14,6 +14,7 @@ from laminarmatroids import (
     EmptyMemberSet,
     NotAChain,
     NotCanonical,
+    TooLarge,
     UndefinedName,
     binary_component,
     canonical_from_matroid,
@@ -73,6 +74,12 @@ class TestNamedBuilders:
             uniform(3, 2)
         with pytest.raises(BadParams):
             uniform(-1, 2)
+
+    def test_builders_keep_the_size_cap(self):
+        for build in (lambda: uniform(3, 17), lambda: circuit(17), lambda: free(40)):
+            with pytest.raises(TooLarge):
+                build()
+        assert uniform(8, 16).n == 16
 
     def test_standard_dispatcher(self):
         assert standard_matroid("uniform", 2, 4) == uniform(2, 4)

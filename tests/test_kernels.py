@@ -5,7 +5,7 @@ pools (named and random matroids, random mask families, random laminar
 presentations, relabelled copies, find-minor hosts and targets) and
 compared with `_oracles`, which works on frozensets of indices.
 Enumeration order reaches the CLI's stdout, so the order contracts are
-asserted exactly: submasks, minimal sets and truncation circuits come out
+asserted exactly: submasks, minor circuits and truncation circuits come out
 in ascending order, cocircuits smallest first, verify_elimination names
 the first failing pair in loop order, find_minor returns the first
 (T, D) pair in its loop order that presents the target, and compress
@@ -18,7 +18,9 @@ region names, recomputed from brute-force ranks.
 
 from __future__ import annotations
 
+import os
 import random
+import runpy
 from itertools import combinations
 
 import pytest
@@ -105,7 +107,7 @@ def test_family_helpers_and_first_violations():
             any(s <= x for s in sets) for x in SUBSETS_10
         ]
         minimal = {s for s in sets if not any(t < s for t in sets)}
-        assert K.minimal_sets(fam) == masks(minimal)
+        assert oracle.minimal_sets(fam) == masks(minimal)
         distinct = list(dict.fromkeys(fam))
         pair = oracle.first_containment(map(bits, distinct))
         if pair is not None:
@@ -147,7 +149,7 @@ def test_check_circuits_names_what_build_matroid_raises():
     seen = set()
     for _ in range(60):
         fam = mask_pool(rng)
-        for family in (fam, K.minimal_sets(fam)):
+        for family in (fam, oracle.minimal_sets(fam)):
             # build_matroid names the violation on its own deduplicated
             # storage order
             stored = _sort_masks(set(family))
@@ -199,7 +201,7 @@ def test_check_circuits_fuzzed_against_the_oracle(n, raw, minimal):
     fam = [x & ((1 << n) - 1) for x in raw]
     fam = list(dict.fromkeys(x for x in fam if x))
     if minimal:
-        fam = K.minimal_sets(fam)
+        fam = oracle.minimal_sets(fam)
     check_verdict(fam, n)
 
 
@@ -266,7 +268,23 @@ def test_matroid_kernels_agree_with_brute_force():
         dm = rng.randrange(0, 1 << n)
         tm = rng.randrange(0, 1 << n) & ~dm
         _, want = oracle.brute_minor(elements, circuits, bits(dm), bits(tm))
-        assert K.minor_circuits(cs, dm, tm) == masks(want)
+        assert K.minor_circuits(dep, cs, dm, tm) == masks(want)
+
+
+def test_minor_circuits_are_the_minimal_differences():
+    """Read off D, the circuits of (M delete D) contract T are the minimal
+    nonempty C - T over the circuits C avoiding D, dependent T included."""
+    rng = random.Random(SEED + 6)
+    dependent_t = 0
+    for m in MATROIDS:
+        cs, n, dep = list(m._masks), m.n, m._dependents()
+        for _ in range(20):
+            dm = rng.randrange(0, 1 << n) & rng.randrange(0, 1 << n)
+            tm = rng.randrange(0, 1 << n) & ~dm
+            dependent_t += dep[tm]
+            want = oracle.minimal_sets(c & ~tm for c in cs if not c & dm and c & ~tm)
+            assert K.minor_circuits(dep, cs, dm, tm) == want
+    assert dependent_t
 
 
 def test_cyclic_flats_of_a_direct_sum_are_the_unions_of_blocks():
@@ -349,7 +367,9 @@ def test_find_minor_agrees_with_brute_force():
         elements, circuits = index_form(host)
         indep = oracle.independent_from_circuits(circuits)
         for tgt in targets:
-            got = K.find_minor(n, cs, r, tgt.n, list(tgt._masks), tgt.rank())
+            got = K.find_minor(
+                host._dependents(), n, cs, r, tgt.n, list(tgt._masks), tgt.rank()
+            )
             want = oracle.brute_has_minor(
                 host.elements, host.circuits, tgt.elements, tgt.circuits
             )
@@ -385,3 +405,13 @@ def test_find_minor_agrees_with_brute_force():
                     assert not oracle.brute_isomorphism(
                         keep, minor, t_elements, t_circuits
                     )
+
+
+def test_every_bench_kernels_entry_runs():
+    """benchmarks/bench_kernels.py calls the kernels directly, so a changed
+    signature shows here; contracting 3 elements of U(8,16) leaves U(5,13)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    bench = runpy.run_path(os.path.join(root, "benchmarks", "bench_kernels.py"))
+    outputs = [fn(K) for _, fn in bench["workloads"]()]
+    assert len(outputs) == 11
+    assert outputs[-1] == masks(combinations(range(3, 16), 6))

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
 
 import _oracles as oracle
+from _corpus import full_corpus
 from laminarmatroids import (
     EliminationFails,
     ExplicitMatroid,
     MatroidError,
+    MinorWitness,
     NotAnAntichain,
     OverlappingSets,
     TooLarge,
@@ -20,6 +23,7 @@ from laminarmatroids import (
     direct_sum,
     excluded_minor,
     fano,
+    fano_dual,
     parallel_connection,
     two_sum,
     uniform,
@@ -211,6 +215,23 @@ class TestMinor:
                     got = m.minor(delete=d, contract=t)
                     assert got.elements == keep
                     assert circuits_set(got) == want
+
+    def test_parallel_connection_minors_match_brute_force(self):
+        # a parallel connection stores no dependent sets, so its minors build them
+        for a, b in ((circuit(4), uniform(2, 4)), (fano(), circuit(3))):
+            els = parallel_connection(a, b, "e1", "e1").elements
+            for d, t in (((), ("e1",)), (("e2",), ("e3", "e4")), (els[-2:], els[:2])):
+                m = parallel_connection(a, b, "e1", "e1")
+                assert m._dep is None
+                keep, want = oracle.brute_minor(els, m.circuits, d, t)
+                got = m.minor(delete=d, contract=t)
+                assert got.elements == keep
+                assert circuits_set(got) == want
+            m = parallel_connection(a, b, "e1", "e1")
+            rest = els[1:-1]
+            assert circuits_set(m.restrict(rest)) == oracle.brute_minor(
+                els, m.circuits, delete=(els[0], els[-1])
+            )[1]
 
 
 class TestTruncateAndSums:
@@ -417,3 +438,44 @@ class TestHasMinor:
             )
             if w is not None:
                 assert apply_witness(m, w, target)
+
+    def test_malformed_witness_does_not_replay(self):
+        w = has_minor(uniform(3, 6), uniform(2, 4))
+        foreign = MinorWitness(w.delete | {"x"}, w.contract, w.mapping)
+        overlap = MinorWitness(w.delete | w.contract, w.contract, w.mapping)
+        assert w.contract
+        for bad in (foreign, overlap):
+            assert apply_witness(uniform(3, 6), bad, uniform(2, 4)) is False
+
+    def test_same_witness_as_the_reference_loop(self):
+        """The witness is the reference loop's, whose contractions take
+        minimal sets of the C - T instead of reading the dependent sets."""
+        hosts = full_corpus(random.Random(7), 300, n_cap=10)
+        hosts += [excluded_minor(r) for r in range(3, 7)]
+        hosts += [
+            direct_sum(EM3, uniform(2, 4)),
+            direct_sum(excluded_minor(4), uniform(2, 3)),
+            fano(),
+            fano_dual(),
+        ]
+        targets = [uniform(2, 4), uniform(2, 5), uniform(3, 5), EM3, excluded_minor(4)]
+        hits = 0
+        for m in hosts:
+            for target in targets:
+                want = oracle.reference_find_minor(
+                    m.n, list(m._masks), m.rank(),
+                    target.n, list(target._masks), target.rank(),
+                )
+                w = has_minor(m, target)
+                assert (w is None) == (want is None)
+                if w is None:
+                    continue
+                hits += 1
+                dm, tm, perm = want
+                kept = m.ground.tuple_of(m.ground.full_mask & ~dm & ~tm)
+                assert w.delete == m.ground.set_of(dm)
+                assert w.contract == m.ground.set_of(tm)
+                assert w.mapping == tuple(
+                    (kept[i], target.elements[j]) for i, j in enumerate(perm)
+                )
+        assert hits == 237
