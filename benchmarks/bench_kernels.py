@@ -1,4 +1,4 @@
-"""Time the kernels on eleven fixed bitmask inputs.
+"""Time the kernels on thirteen fixed bitmask inputs.
 
 Each workload is one kernel call, timed with perf_counter; the best of
 --repeat runs is printed.  Run from the repository root:
@@ -24,6 +24,7 @@ from laminarmatroids import (
     parallel_connection,
     uniform,
 )
+from laminarmatroids.matroid import _sort_masks
 
 
 def masks_of(m):
@@ -54,6 +55,7 @@ def workloads():
     cem4, nem4, rem4 = masks_of(em4)
     c511, n511, r511 = masks_of(u511)
     c410, n410, r410 = masks_of(u410)
+    dep410 = u410._dependents()
     c816, n816, r816 = masks_of(u816)
     dep816 = u816._dependents()
     c715c, n715c, _ = masks_of(u715c)
@@ -81,11 +83,11 @@ def workloads():
         ),
         (
             "cocircuit_masks (uniform rank 4 on 10)",
-            lambda k: k.cocircuit_masks(n410, c410, r410),
+            lambda k: k.cocircuit_masks(n410, dep410, r410),
         ),
         (
             "truncation_circuits (11440 circuits, n=16)",
-            lambda k: k.truncation_circuits(n816, c816, r816),
+            lambda k: k.truncation_circuits(n816, c816, dep816, r816),
         ),
         (
             "cyclic_flat_masks (n=15 direct sum, 128 flats)",
@@ -110,6 +112,14 @@ def workloads():
         (
             "minor_circuits contracting 3 (11440 circuits, n=16)",
             lambda k: k.minor_circuits(dep816, c816, 0, 0b111),
+        ),
+        (
+            "submasks_of_size drained (8 of 16)",
+            lambda k: sum(1 for _ in k.submasks_of_size(0xFFFF, 8)),
+        ),
+        (
+            "_sort_masks + tuple_of (11440 circuits, n=16)",
+            lambda k: [u816.ground.tuple_of(c) for c in _sort_masks(c816)],
         ),
     ]
 

@@ -6,6 +6,14 @@ part of the output contract: subsets of a fixed size are visited in
 ascending bit-pattern order, and searches return their first witness or
 first violating pair in loop order, which is what the CLI prints.
 
+A mask's bits are listed in one place: _bits and _indices join the
+entries of two 256-entry tables, one for the low byte and one for the
+high byte, so no loop strips bits one at a time.  submasks_of_size takes
+the size-k submasks as complements: complementing within the universe
+reverses numeric order, and itertools.combinations over the universe's
+bits taken from the top lists the (m - k)-subsets in descending order, so
+their complements ascend.
+
 Dependence is read off one bitmap: a family of masks on n elements is
 an int of 2**n bits, and D, the dependent sets, is the up-closure of the
 circuits, n shift-or steps (the zeta transform; Bjorklund, Husfeldt,
@@ -24,48 +32,47 @@ is dependent in M/X iff it is dependent in M once B is added.
 from __future__ import annotations
 
 import re
+from itertools import combinations
+
+# _LOW[b] and _HIGH[b]: the element indices of byte b as the low and the
+# high byte of a 16-bit mask; _LOW_BITS and _HIGH_BITS hold them as
+# one-bit masks.
+_LOW = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+_HIGH = tuple(tuple(i + 8 for i in t) for t in _LOW)
+_LOW_BITS = tuple(tuple(1 << i for i in t) for t in _LOW)
+_HIGH_BITS = tuple(tuple(1 << i for i in t) for t in _HIGH)
 
 
-def popcount(x):
-    return x.bit_count()
+def _bits(mask):
+    """The one-bit masks of `mask`, ascending.  Only for masks within the
+    16-element cap: callers pass masks of capped structures."""
+    return _LOW_BITS[mask & 255] + _HIGH_BITS[mask >> 8]
+
+
+def _indices(mask):
+    """The element indices of `mask`, ascending, at any width: uncapped
+    ground sets decode masks too, before any cap check."""
+    try:
+        return _LOW[mask & 255] + _HIGH[mask >> 8]
+    except IndexError:
+        rest = _indices(mask >> 16)
+        return _LOW[mask & 255] + _HIGH[mask >> 8 & 255] + tuple(i + 16 for i in rest)
 
 
 def submasks_of_size(universe, k):
-    """Yield the size-k submasks of `universe` in ascending numeric order."""
-    positions = []
-    u = universe
-    while u:
-        b = u & -u
-        positions.append(b.bit_length() - 1)
-        u ^= b
-    m = len(positions)
-    if k < 0 or k > m:
-        return
-    if k == 0:
-        yield 0
-        return
-    v = (1 << k) - 1
-    limit = 1 << m
-    while v < limit:
-        x = v
-        out = 0
-        while x:
-            b = x & -x
-            out |= 1 << positions[b.bit_length() - 1]
-            x ^= b
-        yield out
-        u = v & -v
-        t = v + u
-        v = t | (((v ^ t) // u) >> 2)
+    """The size-k submasks of `universe` in ascending numeric order, lazily:
+    the complements of the (m - k)-subsets, which descend."""
+    top = _bits(universe)[::-1]
+    if not 0 <= k <= len(top):
+        return iter(())
+    return (universe - s for s in map(sum, combinations(top, len(top) - k)))
 
 
 def _greedy_basis(dep, x):
     """A basis of x, grown in ascending index order, reading dependence
     from `dep` (one 0/1 byte per mask, as dependents gives it)."""
     cur = 0
-    while x:
-        b = x & -x
-        x ^= b
+    for b in _bits(x):
         if not dep[cur | b]:
             cur |= b
     return cur
@@ -73,17 +80,14 @@ def _greedy_basis(dep, x):
 
 def greedy_rank(dep, x):
     """Rank of x, the size of its greedy basis."""
-    return popcount(_greedy_basis(dep, x))
+    return _greedy_basis(dep, x).bit_count()
 
 
 def closure_mask(dep, x, n):
     """x plus every e that makes the greedy basis of x dependent."""
     b = _greedy_basis(dep, x)
     out = x
-    rest = ((1 << n) - 1) & ~x
-    while rest:
-        e = rest & -rest
-        rest ^= e
+    for e in _bits(((1 << n) - 1) & ~x):
         if dep[b | e]:
             out |= e
     return out
@@ -203,7 +207,7 @@ def check_circuits(circuits, n):
             for f in range(e + 1, n):
                 bad = flat[e] & flat[f] & up[e] >> (1 << f)
                 if bad:
-                    y = min(_members(bad), key=lambda m: (popcount(m), m)) | 1 << e | 1 << f
+                    y = min(_members(bad), key=lambda m: (m.bit_count(), m)) | 1 << e | 1 << f
                     keep = [i for i, c in enumerate(circuits) if not c & ~y]
                     i, j, g = verify_elimination([circuits[i] for i in keep], n)
                     return None, (keep[i], keep[j], g)
@@ -237,41 +241,37 @@ def verify_elimination(circuits, n):
     for i, ci in enumerate(circuits):
         for j in range(i + 1, len(circuits)):
             cj = circuits[j]
-            inter = ci & cj
-            if not inter:
-                continue
             union = ci | cj
-            rest = inter
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                if not dep[union & ~b]:
-                    return (i, j, b.bit_length() - 1)
+            for g in _indices(ci & cj):
+                if not dep[union & ~(1 << g)]:
+                    return (i, j, g)
     return None
 
 
-def cocircuit_masks(n, circuits, rank):
+def cocircuit_masks(n, dep, rank):
     """Circuits of the dual, smallest first, then ascending numeric order.
 
     Each is the complement of a hyperplane: a mask that does not span but
     spans once grown by any one element outside it (Oxley, *Matroid
-    Theory*, 2nd ed., Ch. 2), read off the spanning bitmap R_rank.
+    Theory*, 2nd ed., Ch. 2), read off the spanning bitmap R_rank, built
+    from `dep`, D as dependents gives it.
     """
     notbit, _ = _tables(n)
-    spans = _at_least(~_dependent_bitmap(circuits, n), rank, n)
+    spans = _at_least(~_bitmap(dep), rank, n)
     hyper = ((1 << (1 << n)) - 1) & ~spans
     for e, nb in enumerate(notbit):
         hyper &= ~nb | spans >> (1 << e)
     full = (1 << n) - 1
-    return sorted((full & ~h for h in _members(hyper)), key=lambda c: (popcount(c), c))
+    return sorted((full & ~h for h in _members(hyper)), key=lambda c: (c.bit_count(), c))
 
 
-def truncation_circuits(n, circuits, rank):
+def truncation_circuits(n, circuits, dep, rank):
     """Circuit masks after one truncation, ascending: small circuits plus
-    the bases (none contains another, so the union is an antichain)."""
+    the bases (none contains another, so the union is an antichain), read
+    off `dep`, D as dependents gives it."""
     _, layers = _tables(n)
-    bases = layers[rank] & ~_dependent_bitmap(circuits, n)
-    out = [c for c in circuits if popcount(c) <= rank] + _members(bases)
+    bases = layers[rank] & ~_bitmap(dep)
+    out = [c for c in circuits if c.bit_count() <= rank] + _members(bases)
     out.sort()
     return out
 
@@ -279,22 +279,8 @@ def truncation_circuits(n, circuits, rank):
 def compress(masks, keep):
     """Each mask's bits inside `keep`, renumbered by their position within
     `keep`: the j-th lowest bit of `keep` becomes bit j."""
-    slot = {}
-    rest = keep
-    while rest:
-        b = rest & -rest
-        rest ^= b
-        slot[b] = 1 << len(slot)
-    out = []
-    for m in masks:
-        m &= keep
-        x = 0
-        while m:
-            b = m & -m
-            m ^= b
-            x |= slot[b]
-        out.append(x)
-    return out
+    slot = {b: 1 << j for j, b in enumerate(_bits(keep))}.__getitem__
+    return [sum(map(slot, _bits(m & keep))) for m in masks]
 
 
 def minor_circuits(dep, circuits, delete_mask, contract_mask):
@@ -305,10 +291,7 @@ def minor_circuits(dep, circuits, delete_mask, contract_mask):
     b = _greedy_basis(dep, contract_mask)
     out = []
     for x in {c & ~contract_mask for c in circuits if not c & delete_mask} - {0}:
-        rest = x
-        while rest:
-            e = rest & -rest
-            rest ^= e
+        for e in _bits(x):
             if dep[x ^ e | b]:
                 break
         else:
@@ -348,7 +331,7 @@ def _element_signatures(n, circuits):
     sigs = []
     for i in range(n):
         b = 1 << i
-        sizes = sorted(popcount(c) for c in circuits if c & b)
+        sizes = sorted(c.bit_count() for c in circuits if c & b)
         sigs.append(tuple(sizes))
     return sigs
 
@@ -364,9 +347,7 @@ def iso_bijection(n1, circuits1, n2, circuits2):
         return None
     if len(circuits1) != len(circuits2):
         return None
-    if sorted(popcount(c) for c in circuits1) != sorted(
-        popcount(c) for c in circuits2
-    ):
+    if sorted(c.bit_count() for c in circuits1) != sorted(c.bit_count() for c in circuits2):
         return None
     n = n1
     sig1 = _element_signatures(n, circuits1)
@@ -391,13 +372,7 @@ def iso_bijection(n1, circuits1, n2, circuits2):
             for c in through[i]:
                 if c & ~na:
                     continue
-                img = 0
-                rest = c
-                while rest:
-                    b = rest & -rest
-                    rest ^= b
-                    img |= 1 << perm[b.bit_length() - 1]
-                if img not in target:
+                if sum(1 << perm[k] for k in _indices(c)) not in target:
                     ok = False
                     break
             if ok and place(i + 1, used | bj, na):
@@ -426,7 +401,7 @@ def find_minor(dep, n, circuits, rank, n_target, circuits_target, rank_target):
         return None
     full = (1 << n) - 1
     spans = _bytes(_at_least(~_bitmap(dep), rank, n), n)
-    target_sizes = sorted(popcount(c) for c in circuits_target)
+    target_sizes = sorted(c.bit_count() for c in circuits_target)
     for tm in submasks_of_size(full, t):
         if dep[tm]:
             continue
@@ -438,7 +413,7 @@ def find_minor(dep, n, circuits, rank, n_target, circuits_target, rank_target):
             if len(cand) != len(circuits_target):
                 continue
             compressed = compress(cand, full & ~tm & ~dm)
-            if sorted(popcount(c) for c in compressed) != target_sizes:
+            if sorted(c.bit_count() for c in compressed) != target_sizes:
                 continue
             perm = iso_bijection(n_target, compressed, n_target, circuits_target)
             if perm is not None:

@@ -284,7 +284,7 @@ def _script(p, out):
         return out.emit("empty")
     masks, caps = p._masks, p._caps
     loops = p._loop_mask()
-    chain = sorted((i for i, c in enumerate(caps) if c), key=lambda i: K.popcount(masks[i]))
+    chain = sorted((i for i, c in enumerate(caps) if c), key=lambda i: masks[i].bit_count())
     if all(masks[i] & masks[j] == masks[i] for i, j in zip(chain, chain[1:])):
         flats = [(loops, 0)] + [(masks[i] | loops, caps[i]) for i in chain]
         return _emit_chain(p.ground, out, flats)
@@ -292,14 +292,14 @@ def _script(p, out):
     singles = p.ground.full_mask  # then the loops and coloops
     for a in roots:
         singles &= ~a
-    blocks = roots + [1 << e for e in range(p.n) if singles >> e & 1]
+    blocks = roots + list(K._bits(singles))
     if len(blocks) > 1:
         blocks.sort(key=lambda b: b & -b)
         return _dsum_all(out, [_script(_restrict(p, b), out) for b in blocks])
     whole = p._slot[p.ground.full_mask]
     loose = p._free_mask(whole)
     if loose:
-        e = p.ground.elements[(loose & -loose).bit_length() - 1]
+        e = p.ground.elements[K._indices(loose)[0]]
         name = _script(canonicalize(p.delete(e), HARD_CAP), out)
         name = out.emit("coloop", name, e)
         return out.emit("truncate", name)

@@ -84,25 +84,16 @@ class GroundSet:
         return frozenset(self.tuple_of(mask))
 
     def tuple_of(self, mask):
-        return tuple(self.elements[i] for i in _index_tuple(mask))
+        return tuple(map(self.elements.__getitem__, K._indices(mask)))
 
     @property
     def full_mask(self):
         return (1 << len(self.elements)) - 1
 
 
-def _index_tuple(mask):
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return tuple(out)
-
-
 def _sort_masks(masks):
     """Storage order: lexicographic on ascending index tuples."""
-    return tuple(sorted(masks, key=_index_tuple))
+    return tuple(sorted(masks, key=K._indices))
 
 
 class ExplicitMatroid:
@@ -182,7 +173,7 @@ class ExplicitMatroid:
         if self._closures is None:
             r, full, dep = self.rank(), self.ground.full_mask, self._dependents()
             self._closures = tuple(
-                full if K.popcount(c) > r else K.closure_mask(dep, c, self.n)
+                full if c.bit_count() > r else K.closure_mask(dep, c, self.n)
                 for c in self._masks
             )
         return self._closures
@@ -190,7 +181,7 @@ class ExplicitMatroid:
     def _loop_mask(self):
         m = 0
         for c in self._masks:
-            if K.popcount(c) == 1:
+            if c.bit_count() == 1:
                 m |= c
         return m
 
@@ -206,7 +197,7 @@ class ExplicitMatroid:
     # -- derived matroids ------------------------------------------------
 
     def dual(self):
-        masks = K.cocircuit_masks(self.n, self._masks, self.rank())
+        masks = K.cocircuit_masks(self.n, self._dependents(), self.rank())
         return ExplicitMatroid._from_masks(self.ground, masks)
 
     def minor(self, delete=(), contract=()):
@@ -228,7 +219,7 @@ class ExplicitMatroid:
         r = self.rank()
         if r == 0:
             raise RankZero("cannot truncate a rank-zero matroid")
-        masks = K.truncation_circuits(self.n, self._masks, r)
+        masks = K.truncation_circuits(self.n, self._masks, self._dependents(), r)
         return ExplicitMatroid._from_masks(self.ground, masks)
 
     def simplify(self):
@@ -240,7 +231,7 @@ class ExplicitMatroid:
         """
         drop = 0
         for c in self._masks:
-            if K.popcount(c) <= 2:
+            if c.bit_count() <= 2:
                 drop |= 1 << (c.bit_length() - 1)
         return self._minor(drop, 0)
 
@@ -264,7 +255,7 @@ class ExplicitMatroid:
         uncovered = self.ground.full_mask
         for b in blocks:
             uncovered &= ~b
-        blocks += [1 << i for i in _index_tuple(uncovered)]
+        blocks += K._bits(uncovered)
         blocks.sort(key=lambda b: b & -b)
         return tuple(self.ground.set_of(b) for b in blocks)
 
@@ -275,7 +266,7 @@ class ExplicitMatroid:
         """Flats that are unions of their circuits, smallest first."""
         if self._cyclic_flats is None:
             masks = K.cyclic_flat_masks(self.n, self._dependents(), self._circuit_closures())
-            masks.sort(key=lambda m: (K.popcount(m), _index_tuple(m)))
+            masks.sort(key=lambda m: (m.bit_count(), K._indices(m)))
             self._cyclic_flats = tuple(self.ground.set_of(m) for m in masks)
         return self._cyclic_flats
 

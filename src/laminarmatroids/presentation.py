@@ -43,7 +43,6 @@ from .matroid import (
     ExplicitMatroid,
     GroundSet,
     _fresh_names,
-    _index_tuple,
 )
 
 
@@ -88,7 +87,7 @@ class LaminarPresentation:
         seen = {}
         for m, cap in pairs:
             seen[m] = min(seen.get(m, cap), cap)
-        masks = sorted(seen, key=_index_tuple)
+        masks = sorted(seen, key=K._indices)
         # parents[i]: slot of the least member properly containing slot i
         # (the members containing one member form a chain)
         parents = [-1] * len(masks)
@@ -115,7 +114,7 @@ class LaminarPresentation:
         self._slot = {m: i for i, m in enumerate(masks)}
         self._parents = tuple(parents)
         self._kids = tuple(tuple(k) for k in kids)
-        self._order = tuple(sorted(range(len(masks)), key=lambda i: K.popcount(masks[i])))
+        self._order = tuple(sorted(range(len(masks)), key=lambda i: masks[i].bit_count()))
 
     @property
     def elements(self):
@@ -180,7 +179,7 @@ class LaminarPresentation:
         """Free-element count plus the capacity sum over the children."""
         slot = self._slot_of(member)
         total = sum(self._caps[k] for k in self._kids[slot])
-        return K.popcount(self._free_mask(slot)) + total
+        return self._free_mask(slot).bit_count() + total
 
     def _loop_mask(self):
         out = 0
@@ -192,7 +191,7 @@ class LaminarPresentation:
     def _below(self, f, i, t=0):
         """Free-element count of slot i plus f over its children t, t+1, ...:
         the rank of f's set in slot i's member before its own capacity."""
-        return K.popcount(self._free_mask(i)) + sum(f[k] for k in self._kids[i][t:])
+        return self._free_mask(i).bit_count() + sum(f[k] for k in self._kids[i][t:])
 
     def _circuit_tops(self, f):
         """Tops (slot, capacity) with at least one circuit, given the slot
@@ -240,7 +239,7 @@ class LaminarPresentation:
         return self._independent(self.ground.mask_of(items))
 
     def _independent(self, x):
-        return all(K.popcount(a & x) <= c for a, c in zip(self._masks, self._caps))
+        return all((a & x).bit_count() <= c for a, c in zip(self._masks, self._caps))
 
     def rank(self, items=None):
         """Largest independent subset size, by dynamic programming up the
@@ -260,7 +259,7 @@ class LaminarPresentation:
             for k in self._kids[i]:
                 inner &= ~self._masks[k]
                 got += f[k]
-            f[i] = min(self._caps[i], K.popcount(inner) + got)
+            f[i] = min(self._caps[i], inner.bit_count() + got)
         return f
 
     def _rank_mask(self, x):
@@ -270,7 +269,7 @@ class LaminarPresentation:
             if p < 0:
                 x &= ~self._masks[i]
                 total += f[i]
-        return K.popcount(x) + total
+        return x.bit_count() + total
 
     def to_explicit(self, max_n=DESK_CAP):
         """The circuits, read off the family forest; guarded by the size cap.
@@ -405,8 +404,8 @@ def canonical_from_matroid(m, max_n=DESK_CAP):
     evidence = {}
     for c, closed in zip(m._masks, m._circuit_closures()):
         a = closed & ~loop_mask
-        if K.popcount(c) > 1 and a not in family:
-            family[a] = K.popcount(c) - 1
+        if c.bit_count() > 1 and a not in family:
+            family[a] = c.bit_count() - 1
             evidence[a] = c
     return _canonical(m.ground, family, evidence, loop_mask)
 
@@ -437,7 +436,7 @@ def canonicalize(p, max_n=DESK_CAP):
         member = closed & ~loop_mask
         least = _least_circuit(p, i)
         family[member] = c
-        if member not in evidence or _index_tuple(least) < _index_tuple(evidence[member]):
+        if member not in evidence or K._indices(least) < K._indices(evidence[member]):
             evidence[member] = least
     return _canonical(p.ground, family, evidence, loop_mask)
 
@@ -469,11 +468,9 @@ def _least_circuit(p, slot):
     ]
     size = p._caps[slot] + 1
     chosen = 0
-    rest = a
-    while K.popcount(chosen) < size:
-        bit = rest & -rest
-        rest ^= bit
+    for bit in K._bits(a):
         trial = chosen | bit
-        if all(K.popcount(trial & b) <= c for b, c in below):
+        if all((trial & b).bit_count() <= c for b, c in below):
             chosen = trial
-    return chosen
+            if chosen.bit_count() == size:
+                return chosen

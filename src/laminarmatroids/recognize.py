@@ -116,7 +116,7 @@ def is_laminar(m, max_n=DESK_CAP):
         return LaminarVerdict(True, presentation=pres)
     r = m.rank()
     non_spanning = [
-        (c, a) for c, a in zip(m._masks, m._circuit_closures()) if K.popcount(c) <= r
+        (c, a) for c, a in zip(m._masks, m._circuit_closures()) if c.bit_count() <= r
     ]
     for i, (ci, a) in enumerate(non_spanning):
         for j in range(i + 1, len(non_spanning)):

@@ -120,8 +120,10 @@ def minimal_sets(masks):
 
 def reference_find_minor(n, circuits, rank, n_target, circuits_target, rank_target):
     """find_minor's loop with each contraction's circuits taken as the
-    minimal_sets of the C - T: the same (delete_mask, contract_mask,
-    bijection) or None, for a test to compare the kernel with."""
+    minimal_sets of the C - T, and T and D listed by sorting
+    itertools.combinations rather than by submasks_of_size: the same
+    (delete_mask, contract_mask, bijection) or None, for a test to compare
+    the kernel with."""
     from laminarmatroids import _kernels_py as K
 
     t = rank - rank_target
@@ -133,11 +135,12 @@ def reference_find_minor(n, circuits, rank, n_target, circuits_target, rank_targ
     spans = K._bytes(K._at_least(~dep, rank, n), n)
     dep = K._bytes(dep, n)
     target_sizes = sorted(c.bit_count() for c in circuits_target)
-    for tm in K.submasks_of_size(full, t):
+    for tm in sorted(map(sum, combinations([1 << i for i in range(n)], t))):
         if dep[tm]:
             continue
         contracted = minimal_sets(c & ~tm for c in circuits if c & ~tm)
-        for dm in K.submasks_of_size(full & ~tm, d):
+        rest = [1 << i for i in range(n) if not tm >> i & 1]
+        for dm in sorted(map(sum, combinations(rest, d))):
             if not spans[full & ~dm]:
                 continue
             cand = [c for c in contracted if not (c & dm)]

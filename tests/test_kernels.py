@@ -9,11 +9,13 @@ asserted exactly: submasks, minor circuits and truncation circuits come out
 in ascending order, cocircuits smallest first, verify_elimination names
 the first failing pair in loop order, find_minor returns the first
 (T, D) pair in its loop order that presents the target, and compress
-keeps each mask's bits in order of their position within the kept set.  check_circuits
-is checked against the axioms on the same pools and on Hypothesis-drawn
-families: its verdict, its dependent-set bitmap, the first containment
-for a non-antichain, and for an elimination failure the pair its failing
-region names, recomputed from brute-force ranks.
+keeps each mask's bits in order of their position within the kept set.
+The bit decoders _bits and _indices are checked on every 16-bit mask, and
+_indices on wider ones.  check_circuits is checked against the axioms on
+the same pools and on Hypothesis-drawn families: its verdict, its
+dependent-set bitmap, the first containment for a non-antichain, and for
+an elimination failure the pair its failing region names, recomputed from
+brute-force ranks.
 """
 
 from __future__ import annotations
@@ -31,11 +33,16 @@ import _oracles as oracle
 from _corpus import named_corpus, random_laminar_presentation, random_script
 from laminarmatroids import (
     EliminationFails,
+    GroundSet,
+    LaminarPresentation,
     MinorWitness,
+    NegativeCapacity,
+    NotAChain,
     NotAnAntichain,
     apply_witness,
     build_matroid,
     direct_sum,
+    nested_from_chain,
     run_script,
     uniform,
 )
@@ -81,13 +88,46 @@ def relabel(cs, perm):
     return sorted(mask(perm[i] for i in bits(c)) for c in cs)
 
 
-def test_popcount_and_submask_order():
+def test_bit_decoders_list_every_bit_in_order():
+    for x in range(1 << 16):
+        want = sorted(bits(x))
+        assert K._indices(x) == tuple(want)
+        assert K._bits(x) == tuple(1 << i for i in want)
+
+
+def test_indices_decode_masks_past_the_cap():
     rng = random.Random(SEED)
-    for _ in range(200):
-        x = rng.randrange(0, 1 << 16)
-        assert K.popcount(x) == len(bits(x))
-    for _ in range(60):
-        u = rng.randrange(0, 1 << 12)
+    for width in (17, 20, 24, 33, 64):
+        for _ in range(50):
+            x = rng.getrandbits(width)
+            assert K._indices(x) == tuple(sorted(bits(x)))
+    assert K._indices(1 << 18) == (18,)
+
+
+# Three public paths decode a mask of a ground past the cap before any
+# cap check; each names the elements past bit 16.
+GROUND_20 = GroundSet(f"e{i}" for i in range(20))
+
+
+def test_set_of_decodes_past_the_cap():
+    assert GROUND_20.set_of(1 << 18) == {"e18"}
+
+
+def test_negative_capacity_names_a_member_past_the_cap():
+    with pytest.raises(NegativeCapacity) as err:
+        LaminarPresentation(GROUND_20, {("e18",): -1})
+    assert err.value.member == {"e18"}
+
+
+def test_not_a_chain_names_members_past_the_cap():
+    with pytest.raises(NotAChain) as err:
+        nested_from_chain(GROUND_20, [("e17", "e19"), ("e18",)])
+    assert (err.value.first, err.value.second) == ({"e17", "e19"}, {"e18"})
+
+
+def test_submask_order():
+    rng = random.Random(SEED)
+    for u in [0xFFFF] + [rng.randrange(0, 1 << 16) for _ in range(60)]:
         items = sorted(bits(u))
         assert list(K.submasks_of_size(u, -1)) == []
         for k in range(len(items) + 2):
@@ -246,9 +286,9 @@ def test_matroid_kernels_agree_with_brute_force():
             assert K.verify_elimination(fewer, n) == oracle.first_elimination_failure(
                 [bits(c) for c in fewer]
             )
-        assert K.cocircuit_masks(n, cs, r) == sorted(
+        assert K.cocircuit_masks(n, dep, r) == sorted(
             masks(oracle.brute_cocircuits(elements, circuits)),
-            key=lambda c: (K.popcount(c), c),
+            key=lambda c: (c.bit_count(), c),
         )
         assert K.cyclic_flat_masks(n, dep, m._circuit_closures()) == masks(
             oracle.brute_cyclic_flats(elements, circuits)
@@ -264,7 +304,7 @@ def test_matroid_kernels_agree_with_brute_force():
             want = oracle.brute_circuits(
                 elements, lambda s: indep(s) and len(s) < r
             )
-            assert K.truncation_circuits(n, cs, r) == masks(want)
+            assert K.truncation_circuits(n, cs, dep, r) == masks(want)
         dm = rng.randrange(0, 1 << n)
         tm = rng.randrange(0, 1 << n) & ~dm
         _, want = oracle.brute_minor(elements, circuits, bits(dm), bits(tm))
@@ -409,9 +449,13 @@ def test_find_minor_agrees_with_brute_force():
 
 def test_every_bench_kernels_entry_runs():
     """benchmarks/bench_kernels.py calls the kernels directly, so a changed
-    signature shows here; contracting 3 elements of U(8,16) leaves U(5,13)."""
+    signature shows here; contracting 3 elements of U(8,16) leaves U(5,13),
+    and the least circuit of U(8,16) in storage order is its first 9
+    elements."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     bench = runpy.run_path(os.path.join(root, "benchmarks", "bench_kernels.py"))
     outputs = [fn(K) for _, fn in bench["workloads"]()]
-    assert len(outputs) == 11
-    assert outputs[-1] == masks(combinations(range(3, 16), 6))
+    assert len(outputs) == 13
+    assert outputs[10] == masks(combinations(range(3, 16), 6))
+    assert outputs[11] == 12870  # C(16, 8)
+    assert outputs[12][0] == uniform(8, 16).elements[:9]
