@@ -1,6 +1,7 @@
-"""Time the kernels on thirteen fixed bitmask inputs.
+"""Time the kernels on thirteen fixed bitmask inputs, and canonicalize
+on one presentation.
 
-Each workload is one kernel call, timed with perf_counter; the best of
+Each workload is one call, timed with perf_counter; the best of
 --repeat runs is printed.  Run from the repository root:
 
     python3 benchmarks/bench_kernels.py [--repeat N]
@@ -18,6 +19,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 import laminarmatroids._kernels_py as pure
 from laminarmatroids import (
+    LaminarPresentation,
+    canonicalize,
     direct_sum,
     excluded_minor,
     fano,
@@ -62,6 +65,11 @@ def workloads():
     dep715c = u715c._dependents()
     # u(8,16) without its middle circuit fails elimination
     less816 = c816[: len(c816) // 2] + c816[len(c816) // 2 + 1 :]
+
+    # {e1..e2k}: ceil(k/2) for k = 1..8, 1291 circuits; every top's
+    # closure climbs one member up the chain
+    e16 = [f"e{i}" for i in range(1, 17)]
+    chain16 = LaminarPresentation(e16, {frozenset(e16[: 2 * k]): (k + 1) // 2 for k in range(1, 9)})
 
     relabel = [(i * 7 + 3) % n511 for i in range(n511)]
     shuffled = sorted(
@@ -120,6 +128,10 @@ def workloads():
         (
             "_sort_masks + tuple_of (11440 circuits, n=16)",
             lambda k: [u816.ground.tuple_of(c) for c in _sort_masks(c816)],
+        ),
+        (
+            "canonicalize (16-element chain of 8 members)",
+            lambda k: canonicalize(chain16, 16),
         ),
     ]
 

@@ -266,7 +266,7 @@ def _restrict(p, keep):
     """Canonical presentation p restricted to a block or a member: the
     non-loop members inside `keep`, and its loops."""
     pairs = [(a, c) for a, c in zip(p._masks, p._caps) if c and a & keep == a]
-    masks, caps = zip(*pairs, (p._loop_mask() & keep, 0))
+    masks, caps = zip(*pairs, (p._loops & keep, 0))
     pairs = [(m, c) for m, c in zip(K.compress(masks, keep), caps) if m]
     return LaminarPresentation._from_masks(GroundSet(p.ground.tuple_of(keep)), pairs)
 
@@ -283,21 +283,18 @@ def _script(p, out):
     if p.n == 0:
         return out.emit("empty")
     masks, caps = p._masks, p._caps
-    loops = p._loop_mask()
     chain = sorted((i for i, c in enumerate(caps) if c), key=lambda i: masks[i].bit_count())
     if all(masks[i] & masks[j] == masks[i] for i, j in zip(chain, chain[1:])):
-        flats = [(loops, 0)] + [(masks[i] | loops, caps[i]) for i in chain]
+        flats = [(p._loops, 0)] + [(masks[i] | p._loops, caps[i]) for i in chain]
         return _emit_chain(p.ground, out, flats)
-    roots = [masks[i] for i, parent in enumerate(p._parents) if parent < 0 and caps[i]]
-    singles = p.ground.full_mask  # then the loops and coloops
-    for a in roots:
-        singles &= ~a
+    roots = [masks[i] for i in p._roots if caps[i]]
+    singles = p.ground.full_mask & ~sum(roots)  # disjoint; then the loops and coloops
     blocks = roots + list(K._bits(singles))
     if len(blocks) > 1:
         blocks.sort(key=lambda b: b & -b)
         return _dsum_all(out, [_script(_restrict(p, b), out) for b in blocks])
     whole = p._slot[p.ground.full_mask]
-    loose = p._free_mask(whole)
+    loose = p._free[whole]
     if loose:
         e = p.ground.elements[K._indices(loose)[0]]
         name = _script(canonicalize(p.delete(e), HARD_CAP), out)

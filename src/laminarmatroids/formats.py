@@ -147,7 +147,7 @@ def _family_order(p):
             order.append(i)
             expand(kids[i])
 
-    expand([i for i, parent in enumerate(p._parents) if parent < 0])
+    expand(p._roots)
     return order
 
 

@@ -5,17 +5,19 @@ every family member A in at most c(A) elements.  The family must be
 laminar: two members either nest or are disjoint.  Presentations are
 immutable values; every operation returns a fresh object.
 
-Each presentation holds its family forest (parent and child slots, and
-the slots by member size), built once beside the laminarity check.
-One dynamic programme up that forest, _slot_ranks, gives the rank of a
-set inside every member: min(c(A), |free hits| + the children's ranks).
-The rank, the tops that carry circuits, the size splits of circuit
-enumeration and the canonical form are all read off it; nothing here
-scans the subsets of the ground or counts them.
+Each presentation holds its family forest, built once beside the
+laminarity check: parent and child slots, the slots by member size,
+each member's free part (the member minus its children), the root slots
+and the loops (the union of the capacity-0 members).  One dynamic
+programme up that forest, _slot_ranks, gives the rank of a set inside
+every member: min(c(A), |free hits| + the children's ranks).  The rank,
+the tops that carry circuits and the size splits of circuit enumeration
+are read off it; nothing here scans the subsets of the ground.
 
 Canonical presentations are the unique minimal form: one member per
 circuit closure (computed on the loopless part), capacity equal to the
 member's rank, plus the set of loops as an isolated capacity-0 member.
+canonicalize reads each closure off the ancestor chain of a top.
 
 Members are masks from parse to render: only the constructor decodes
 element names, and every operation builds its result with _from_masks.
@@ -49,7 +51,8 @@ from .matroid import (
 class LaminarPresentation:
     """Validated laminar family plus capacities over an ordered ground."""
 
-    __slots__ = ("ground", "_masks", "_caps", "_slot", "_parents", "_kids", "_order")
+    __slots__ = ("ground", "_masks", "_caps", "_slot", "_parents", "_kids", "_order",
+                 "_free", "_roots", "_loops")
 
     def __init__(self, ground, caps):
         """`caps` is a mapping (or iterable of pairs) set -> capacity.
@@ -106,15 +109,23 @@ class LaminarPresentation:
                 else:
                     raise NotLaminar(gs.set_of(a), gs.set_of(b))
         kids = [[] for _ in masks]
+        free = list(masks)
+        loops = 0
         for i, p in enumerate(parents):
             if p >= 0:
                 kids[p].append(i)
+                free[p] &= ~masks[i]
+            if not seen[masks[i]]:
+                loops |= masks[i]
         self._masks = tuple(masks)
         self._caps = tuple(seen[m] for m in masks)
         self._slot = {m: i for i, m in enumerate(masks)}
         self._parents = tuple(parents)
         self._kids = tuple(tuple(k) for k in kids)
         self._order = tuple(sorted(range(len(masks)), key=lambda i: masks[i].bit_count()))
+        self._free = tuple(free)
+        self._roots = tuple(i for i, p in enumerate(parents) if p < 0)
+        self._loops = loops
 
     @property
     def elements(self):
@@ -161,37 +172,23 @@ class LaminarPresentation:
         except KeyError:
             raise MatroidError(f"{set(member)!r} is not a family member") from None
 
-    def _free_mask(self, slot):
-        m = self._masks[slot]
-        for k in self._kids[slot]:
-            m &= ~self._masks[k]
-        return m
-
     def children_of(self, member):
         kids = self._kids[self._slot_of(member)]
         return tuple(self.ground.set_of(self._masks[k]) for k in kids)
 
     def free_part(self, member):
         """Elements of the member that lie in none of its children."""
-        return self.ground.set_of(self._free_mask(self._slot_of(member)))
+        return self.ground.set_of(self._free[self._slot_of(member)])
 
     def b_value(self, member):
-        """Free-element count plus the capacity sum over the children."""
-        slot = self._slot_of(member)
-        total = sum(self._caps[k] for k in self._kids[slot])
-        return self._free_mask(slot).bit_count() + total
-
-    def _loop_mask(self):
-        out = 0
-        for a, c in zip(self._masks, self._caps):
-            if c == 0:
-                out |= a
-        return out
+        """Free-element count plus the capacity sum over the children:
+        _below with the capacities in place of the slot ranks."""
+        return self._below(self._caps, self._slot_of(member))
 
     def _below(self, f, i, t=0):
         """Free-element count of slot i plus f over its children t, t+1, ...:
         the rank of f's set in slot i's member before its own capacity."""
-        return self._free_mask(i).bit_count() + sum(f[k] for k in self._kids[i][t:])
+        return self._free[i].bit_count() + sum(f[k] for k in self._kids[i][t:])
 
     def _circuit_tops(self, f):
         """Tops (slot, capacity) with at least one circuit, given the slot
@@ -222,7 +219,7 @@ class LaminarPresentation:
         def fill(i, size, t=0):
             kids = self._kids[i]
             if t == len(kids):
-                yield from K.submasks_of_size(self._free_mask(i), size)
+                yield from K.submasks_of_size(self._free[i], size)
                 return
             k = kids[t]
             for j in range(max(0, size - self._below(f, i, t + 1)), min(f[k], size) + 1):
@@ -253,23 +250,16 @@ class LaminarPresentation:
         capacities of that member and those below it, which is
         min(capacity, free hits + the children's f)."""
         f = [0] * len(self._masks)
+        free, kids, caps = self._free, self._kids, self._caps
         for i in self._order:
-            inner = self._masks[i] & x
-            got = 0
-            for k in self._kids[i]:
-                inner &= ~self._masks[k]
-                got += f[k]
-            f[i] = min(self._caps[i], inner.bit_count() + got)
+            f[i] = min(caps[i], (free[i] & x).bit_count() + sum(f[k] for k in kids[i]))
         return f
 
     def _rank_mask(self, x):
         f = self._slot_ranks(x)
-        total = 0
-        for i, p in enumerate(self._parents):
-            if p < 0:
-                x &= ~self._masks[i]
-                total += f[i]
-        return x.bit_count() + total
+        for i in self._roots:
+            x &= ~self._masks[i]
+        return x.bit_count() + sum(f[i] for i in self._roots)
 
     def to_explicit(self, max_n=DESK_CAP):
         """The circuits, read off the family forest; guarded by the size cap.
@@ -419,26 +409,32 @@ def canonicalize(p, max_n=DESK_CAP):
     capacity c: each of its circuits has rank c inside A, so spans A.
     The evidence of a member is the least circuit of the tops sharing
     its closure.
+
+    cl(A) minus the loops is the highest ancestor of A with capacity c,
+    or A itself when there is none.  Every ancestor of a top has
+    capacity >= c.  Take a nonloop e outside A, and A_j the least
+    ancestor of A holding it: r(A + e) = min(c + 1, the least capacity
+    of A_j and the members above it), or c + 1 with no such A_j.  So e
+    is in cl(A) exactly when it lies in the highest ancestor of capacity c.
     """
     if p.n > max_n:
         raise TooLarge(p.n, max_n)
-    loop_mask = p._loop_mask()
     family = {}
     evidence = {}
     for i, c in p._circuit_tops(p._slot_ranks(p.ground.full_mask)):
         if c == 0:
             continue
-        a = p._masks[i]
-        closed = 0
-        for e in range(p.n):
-            if p._rank_mask(a | 1 << e) == c:
-                closed |= 1 << e
-        member = closed & ~loop_mask
+        top, j = i, p._parents[i]
+        while j >= 0:
+            if p._caps[j] == c:
+                top = j
+            j = p._parents[j]
+        member = p._masks[top] & ~p._loops
         least = _least_circuit(p, i)
         family[member] = c
         if member not in evidence or K._indices(least) < K._indices(evidence[member]):
             evidence[member] = least
-    return _canonical(p.ground, family, evidence, loop_mask)
+    return _canonical(p.ground, family, evidence, p._loops)
 
 
 def _canonical(ground, family, evidence, loop_mask):

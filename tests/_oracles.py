@@ -2,11 +2,12 @@
 
 Everything here works from first definitions on tiny inputs: powerset
 scans, permutation search, no library internals, and no bitmasks except
-in laminar_circuit_masks and minimal_sets.  Slow on purpose; keep n
-small.  The three exceptions keep computations the library no longer
-makes: explicit_deconstruct and search_excluded_minor_witness are built
-from its public calls, and reference_find_minor is the minor search as
-it ran before contractions read their circuits off the dependent sets.
+in laminar_circuit_masks, minimal_sets and first_bijection.  Slow on
+purpose; keep n small.  The three exceptions keep computations the
+library no longer makes: explicit_deconstruct and
+search_excluded_minor_witness are built from its public calls, and
+reference_find_minor is the minor search as it ran before contractions
+read their circuits off the dependent sets.
 """
 
 from __future__ import annotations
@@ -120,10 +121,12 @@ def minimal_sets(masks):
 
 def reference_find_minor(n, circuits, rank, n_target, circuits_target, rank_target):
     """find_minor's loop with each contraction's circuits taken as the
-    minimal_sets of the C - T, and T and D listed by sorting
-    itertools.combinations rather than by submasks_of_size: the same
-    (delete_mask, contract_mask, bijection) or None, for a test to compare
-    the kernel with."""
+    minimal_sets of the C - T, T and D listed by sorting
+    itertools.combinations rather than by submasks_of_size, the kept
+    elements renumbered bit by bit rather than by compress, and the
+    bijection taken as first_bijection rather than iso_bijection: the
+    same (delete_mask, contract_mask, bijection) or None, for a test to
+    compare the kernel with."""
     from laminarmatroids import _kernels_py as K
 
     t = rank - rank_target
@@ -146,12 +149,24 @@ def reference_find_minor(n, circuits, rank, n_target, circuits_target, rank_targ
             cand = [c for c in contracted if not (c & dm)]
             if len(cand) != len(circuits_target):
                 continue
-            compressed = K.compress(cand, full & ~tm & ~dm)
+            kept = [i for i in range(n) if not (tm | dm) >> i & 1]
+            compressed = [sum(1 << j for j, i in enumerate(kept) if c >> i & 1) for c in cand]
             if sorted(c.bit_count() for c in compressed) != target_sizes:
                 continue
-            perm = K.iso_bijection(n_target, compressed, n_target, circuits_target)
+            perm = first_bijection(n_target, compressed, circuits_target)
             if perm is not None:
                 return (dm, tm, perm)
+    return None
+
+
+def first_bijection(n, circuits1, circuits2):
+    """The lexicographically first index permutation mapping the circuit
+    masks circuits1 onto circuits2, or None; iso_bijection's ascending
+    backtrack returns the same one."""
+    want = set(circuits2)
+    for perm in permutations(range(n)):
+        if {sum(1 << perm[i] for i in range(n) if c >> i & 1) for c in circuits1} == want:
+            return list(perm)
     return None
 
 

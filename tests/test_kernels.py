@@ -450,12 +450,16 @@ def test_find_minor_agrees_with_brute_force():
 def test_every_bench_kernels_entry_runs():
     """benchmarks/bench_kernels.py calls the kernels directly, so a changed
     signature shows here; contracting 3 elements of U(8,16) leaves U(5,13),
-    and the least circuit of U(8,16) in storage order is its first 9
-    elements."""
+    the least circuit of U(8,16) in storage order is its first 9
+    elements, and the 16-element chain keeps every other member."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     bench = runpy.run_path(os.path.join(root, "benchmarks", "bench_kernels.py"))
     outputs = [fn(K) for _, fn in bench["workloads"]()]
-    assert len(outputs) == 13
+    assert len(outputs) == 14
     assert outputs[10] == masks(combinations(range(3, 16), 6))
     assert outputs[11] == 12870  # C(16, 8)
     assert outputs[12][0] == uniform(8, 16).elements[:9]
+    chain = outputs[13]
+    assert {a: chain.capacity(a) for a in chain.members} == {
+        frozenset(chain.elements[: 4 * k]): k for k in range(1, 5)
+    }

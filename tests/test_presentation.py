@@ -131,6 +131,26 @@ class TestRankDP:
             tops = p._circuit_tops(p._slot_ranks(p.ground.full_mask))
             assert {(p.members[i], c) for i, c in tops} == least
 
+    def test_forest_record_matches_its_definitions(self):
+        """Each free part is the member minus its children, the roots are
+        the members inside no other, and the loops are the union of the
+        capacity-0 members."""
+        for p in forest_sample(13):
+            masks = p._masks
+            free = []
+            for a, kids in zip(masks, p._kids):
+                for k in kids:
+                    a &= ~masks[k]
+                free.append(a)
+            assert p._free == tuple(free)
+            roots = [i for i, a in enumerate(masks) if not any(b != a and a & b == a for b in masks)]
+            assert p._roots == tuple(roots)
+            loops = 0
+            for a, c in zip(masks, p._caps):
+                if c == 0:
+                    loops |= a
+            assert p._loops == loops
+
 
 class TestIndependenceAndRank:
     def test_examples(self):
@@ -200,6 +220,25 @@ class TestCanonicalize:
         )
         assert c.loop_set == frozenset("a")
         assert members_with_caps(c) == {frozenset("a"): 0, frozenset("bc"): 1}
+
+    @pytest.mark.parametrize(
+        "chain, want",
+        [
+            ({"ab": 1, "abc": 1, "abcde": 2}, {"abc": 1, "abcde": 2}),
+            ({"ab": 1, "abc": 1, "abcd": 1, "abcdef": 2}, {"abcd": 1, "abcdef": 2}),
+            ({"ab": 1, "abc": 1, "abcd": 2, "abcdef": 2}, {"abc": 1, "abcdef": 2}),
+            ({"ab": 1, "abc": 2, "abcd": 1, "abcde": 3}, {"abcd": 1}),
+        ],
+    )
+    def test_closure_is_the_highest_ancestor_of_equal_capacity(self, chain, want):
+        """A top's closure climbs to the highest ancestor with its
+        capacity, past nearer ones and past larger capacities between."""
+        p = LaminarPresentation(max(chain, key=len), {frozenset(a): c for a, c in chain.items()})
+        c = canonicalize(p)
+        assert members_with_caps(c) == {frozenset(a): k for a, k in want.items()}
+        from_circuits = canonical_from_matroid(p.to_explicit())
+        assert c == from_circuits
+        assert c.evidence == from_circuits.evidence
 
     def test_idempotent(self):
         rng = random.Random(4)
