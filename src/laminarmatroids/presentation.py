@@ -15,9 +15,10 @@ the tops that carry circuits and the size splits of circuit enumeration
 are read off it; nothing here scans the subsets of the ground.
 
 Canonical presentations are the unique minimal form: one member per
-circuit closure (computed on the loopless part), capacity equal to the
-member's rank, plus the set of loops as an isolated capacity-0 member.
-canonicalize reads each closure off the ancestor chain of a top.
+circuit closure minus the loops, capacity equal to the member's rank,
+plus the loops as one isolated capacity-0 member.  The family fixes the
+rest: canonicalize reads each closure off the climb that finds its top,
+and the loop set and evidence circuits are read off the forest.
 
 Members are masks from parse to render: only the constructor decodes
 element names, and every operation builds its result with _from_masks.
@@ -31,10 +32,10 @@ from ._backend import kernels as K
 from .errors import (
     DuplicateElement,
     EmptyMemberSet,
-    ForeignElement,
     LoopBase,
     MatroidError,
     NegativeCapacity,
+    NotCanonical,
     NotLaminar,
     RankZero,
     TooLarge,
@@ -191,20 +192,23 @@ class LaminarPresentation:
         return self._free[i].bit_count() + sum(f[k] for k in self._kids[i][t:])
 
     def _circuit_tops(self, f):
-        """Tops (slot, capacity) with at least one circuit, given the slot
-        ranks f of the whole ground.
+        """Tops (slot, capacity, closure slot) with at least one circuit,
+        given the slot ranks f of the whole ground.
 
         A top is a member whose ancestors all have at least its capacity:
         exactly the members that can be the least overfilled member of a
         circuit.  It has a circuit when the subsets overfilling no member
-        below it reach size c + 1.
+        below it reach size c + 1.  The same climb finds its closure slot
+        (see canonicalize): the highest ancestor of capacity c, or itself.
         """
         for i, c in enumerate(self._caps):
-            p = self._parents[i]
+            closure, p = i, self._parents[i]
             while p >= 0 and self._caps[p] >= c:
+                if self._caps[p] == c:
+                    closure = p
                 p = self._parents[p]
             if p < 0 and self._below(f, i) > c:
-                yield i, c
+                yield i, c, closure
 
     def _circuit_masks(self):
         """Every circuit once, generated lazily child by child.
@@ -227,7 +231,7 @@ class LaminarPresentation:
                     for tail in fill(i, size - j, t + 1):
                         yield part | tail
 
-        for i, c in self._circuit_tops(f):
+        for i, c, _ in self._circuit_tops(f):
             yield from fill(i, c + 1)
 
     # -- matroid queries ----------------------------------------------------
@@ -342,17 +346,38 @@ class LaminarPresentation:
 class CanonicalPresentation(LaminarPresentation):
     """The unique minimal presentation of a laminar matroid.
 
-    Carries the loop set (a capacity-0 member disjoint from the rest,
-    absent when the matroid is loopless) and, for every member, an
-    evidence circuit whose closure is that member.
+    Each member is a circuit closure minus the loops, at capacity equal
+    to its rank; the loops, if any, form one disjoint capacity-0 member.
+    The family fixes the loop set and each member's evidence circuit, so
+    both are read off the forest.  The constructor takes (ground, caps)
+    and raises NotCanonical unless canonicalize returns the same family.
+
+    Why the evidence holds.  Every ancestor B of a member A has c(B) >
+    c(A): one of rank c(A) would lie in cl(A), so in A.  So A is a top,
+    and its circuits as a top, the (c+1)-subsets of A overfilling no
+    member below A, are exactly the circuits whose closure minus the
+    loops is A (one inside a member B below A would put A in cl(B)).
+    Greedy in index order finds the least by index tuple; for the
+    capacity-0 loop member, that is its least loop.
     """
 
-    __slots__ = ("loop_set", "evidence")
+    __slots__ = ()
 
-    def __init__(self, ground, caps, loop_set, evidence):
+    def __init__(self, ground, caps):
         super().__init__(ground, caps)
-        self.loop_set = frozenset(loop_set)
-        self.evidence = dict(evidence)
+        if canonicalize(self, HARD_CAP) != self:
+            raise NotCanonical("the family is not the canonical presentation of its matroid")
+
+    @property
+    def loop_set(self):
+        """The loops: the capacity-0 member, or the empty set."""
+        return self.ground.set_of(self._loops)
+
+    @property
+    def evidence(self):
+        """Member -> the least circuit, by index tuple, spanning it."""
+        gs = self.ground
+        return {gs.set_of(a): gs.set_of(_least_circuit(self, i)) for i, a in enumerate(self._masks)}
 
     def parallel_extend(self, e, f):
         """Clone e by a fresh parallel element f.
@@ -382,22 +407,17 @@ def canonical_from_matroid(m, max_n=DESK_CAP):
     """Canonical presentation of an explicit matroid assumed laminar.
 
     One member per circuit closure minus the loops, at capacity one less
-    than the circuit's size.  Storage order puts the least circuit of
-    each closure first, and that circuit is the member's evidence.  Only
-    meaningful when m is laminar; the caller is responsible for that (or
-    for verifying the result).
+    than the circuit's size.  Only meaningful when m is laminar; the
+    caller is responsible for that (or for verifying the result).
     """
     if m.n > max_n:
         raise TooLarge(m.n, max_n)
     loop_mask = m._loop_mask()
-    family = {}
-    evidence = {}
+    family = {loop_mask: 0} if loop_mask else {}
     for c, closed in zip(m._masks, m._circuit_closures()):
-        a = closed & ~loop_mask
-        if c.bit_count() > 1 and a not in family:
-            family[a] = c.bit_count() - 1
-            evidence[a] = c
-    return _canonical(m.ground, family, evidence, loop_mask)
+        if c.bit_count() > 1:
+            family.setdefault(closed & ~loop_mask, c.bit_count() - 1)
+    return CanonicalPresentation._from_masks(m.ground, family.items())
 
 
 def canonicalize(p, max_n=DESK_CAP):
@@ -407,47 +427,22 @@ def canonicalize(p, max_n=DESK_CAP):
     are the elements of the capacity-0 members.  Every top (A, c) with
     c >= 1 and a circuit gives the member cl(A) minus the loops at
     capacity c: each of its circuits has rank c inside A, so spans A.
-    The evidence of a member is the least circuit of the tops sharing
-    its closure.
 
     cl(A) minus the loops is the highest ancestor of A with capacity c,
-    or A itself when there is none.  Every ancestor of a top has
-    capacity >= c.  Take a nonloop e outside A, and A_j the least
-    ancestor of A holding it: r(A + e) = min(c + 1, the least capacity
-    of A_j and the members above it), or c + 1 with no such A_j.  So e
-    is in cl(A) exactly when it lies in the highest ancestor of capacity c.
+    or A itself when there is none; _circuit_tops finds it on its climb.
+    Every ancestor of a top has capacity >= c.  Take a nonloop e outside
+    A, and A_j the least ancestor of A holding it: r(A + e) = min(c + 1,
+    the least capacity of A_j and the members above it), or c + 1 with no
+    such A_j.  So e is in cl(A) exactly when it lies in the highest
+    ancestor of capacity c.
     """
     if p.n > max_n:
         raise TooLarge(p.n, max_n)
-    family = {}
-    evidence = {}
-    for i, c in p._circuit_tops(p._slot_ranks(p.ground.full_mask)):
-        if c == 0:
-            continue
-        top, j = i, p._parents[i]
-        while j >= 0:
-            if p._caps[j] == c:
-                top = j
-            j = p._parents[j]
-        member = p._masks[top] & ~p._loops
-        least = _least_circuit(p, i)
-        family[member] = c
-        if member not in evidence or K._indices(least) < K._indices(evidence[member]):
-            evidence[member] = least
-    return _canonical(p.ground, family, evidence, p._loops)
-
-
-def _canonical(ground, family, evidence, loop_mask):
-    """The canonical presentation from member -> capacity and member ->
-    evidence circuit masks, plus the loop set as a capacity-0 member
-    whose evidence is its least loop."""
-    if loop_mask:
-        family[loop_mask] = 0
-        evidence[loop_mask] = loop_mask & -loop_mask
-    out = CanonicalPresentation._from_masks(ground, family.items())
-    out.loop_set = ground.set_of(loop_mask)
-    out.evidence = {ground.set_of(a): ground.set_of(c) for a, c in evidence.items()}
-    return out
+    family = {p._loops: 0} if p._loops else {}
+    for _, c, closure in p._circuit_tops(p._slot_ranks(p.ground.full_mask)):
+        if c:
+            family[p._masks[closure] & ~p._loops] = c
+    return CanonicalPresentation._from_masks(p.ground, family.items())
 
 
 def _least_circuit(p, slot):
@@ -459,9 +454,7 @@ def _least_circuit(p, slot):
     to size c + 1; greedy in index order finds the least of them.
     """
     a = p._masks[slot]
-    below = [
-        (b, c) for b, c in zip(p._masks, p._caps) if b != a and b & a == b
-    ]
+    below = [(b, c) for b, c in zip(p._masks, p._caps) if b != a and b & a == b]
     size = p._caps[slot] + 1
     chosen = 0
     for bit in K._bits(a):
@@ -470,3 +463,4 @@ def _least_circuit(p, slot):
             chosen = trial
             if chosen.bit_count() == size:
                 return chosen
+    raise NotCanonical(f"member {set(p.ground.set_of(a))!r} spans no circuit of its rank")

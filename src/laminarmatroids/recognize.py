@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._backend import kernels as K
 from .constructions import excluded_minor, uniform
 from .errors import MatroidError, NotLaminar, TooLarge
 from .matroid import DESK_CAP, has_minor

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 from laminarmatroids import (
+    HARD_CAP,
     ConstructionScript,
     LaminarPresentation,
     direct_sum,
     excluded_minor,
     fano,
     fano_dual,
+    is_laminar,
     parallel_connection,
+    run_script,
     two_sum,
     uniform,
 )
@@ -174,9 +177,57 @@ def named_corpus(n_cap=8):
     return dedup
 
 
-def full_corpus(rng, n_random=300, n_cap=8):
-    from laminarmatroids import run_script
+def _basepoint(rng, m):
+    """A random element of m that is neither a loop nor a coloop, or None."""
+    bad = m.loops() | m.coloops()
+    usable = [e for e in m.elements if e not in bad]
+    return rng.choice(usable) if usable else None
 
+
+def non_laminar_hosts(rng, count, n_min=13, n_max=HARD_CAP):
+    """`count` non-laminar matroids with n_min..n_max elements.
+
+    Each joins em(r), r = 3..6, or a random laminar script to another
+    random laminar script: by a direct sum, a 2-sum, a parallel
+    connection truncated 0, 1 or 2 times, or the dual of a parallel
+    connection.  A draw is kept when its size fits and is_laminar says
+    no.
+    """
+
+    def script(budget):
+        return run_script(random_script(rng, n_max=budget)).to_explicit(HARD_CAP)
+
+    out = []
+    while len(out) < count:
+        left = excluded_minor(rng.randint(3, 6)) if rng.random() < 0.5 else script(n_max - 2)
+        right = script(n_max + 2 - left.n)
+        join = rng.choice(("dsum", "2sum", "pc", "pc", "pc", "dual"))
+        size = left.n + right.n - {"dsum": 0, "2sum": 2}.get(join, 1)
+        if not n_min <= size <= n_max:
+            continue
+        if join == "dsum":
+            m = direct_sum(left, right)
+        else:
+            pa, pb = _basepoint(rng, left), _basepoint(rng, right)
+            if pa is None or pb is None:
+                continue
+            if join == "2sum":
+                if min(left.n, right.n) < 3:
+                    continue
+                m = two_sum(left, right, pa, pb)
+            else:
+                m = parallel_connection(left, right, pa, pb)
+            if join == "dual":
+                m = m.dual()
+            for _ in range(rng.randint(0, 2) if join == "pc" else 0):
+                if m.rank():
+                    m = m.truncate()
+        if not is_laminar(m, HARD_CAP):
+            out.append(m)
+    return out
+
+
+def full_corpus(rng, n_random=300, n_cap=8):
     out = named_corpus(n_cap)
     seen = {_key(m) for m in out}
     for _ in range(n_random):

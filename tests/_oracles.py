@@ -3,11 +3,12 @@
 Everything here works from first definitions on tiny inputs: powerset
 scans, permutation search, no library internals, and no bitmasks except
 in laminar_circuit_masks, minimal_sets and first_bijection.  Slow on
-purpose; keep n small.  The three exceptions keep computations the
-library no longer makes: explicit_deconstruct and
-search_excluded_minor_witness are built from its public calls, and
-reference_find_minor is the minor search as it ran before contractions
-read their circuits off the dependent sets.
+purpose; keep n small.  Five helpers are exceptions.
+explicit_deconstruct, closure_evidence and search_excluded_minor_witness
+keep computations the library no longer makes, and greedy_excluded_minor
+reduces a host to a minimal non-laminar minor; these four are built from
+the library's public calls.  reference_find_minor is the minor search as
+it ran before contractions read their circuits off the dependent sets.
 """
 
 from __future__ import annotations
@@ -330,6 +331,43 @@ def search_excluded_minor_witness(m):
         if w is not None:
             return (r, w)
     return None
+
+
+def closure_evidence(m):
+    """Member -> evidence circuit of the canonical presentation of a
+    laminar m, read off its circuits: for each circuit closure minus the
+    loops, the first circuit in storage order with at least two elements
+    spanning it, and for the loop set, its first element in ground order.
+
+    This is how canonical_from_matroid chose evidence before the
+    canonical presentation derived it from its family forest.
+    """
+    loops = m.loops()
+    out = {loops: frozenset([min(loops, key=m.elements.index)])} if loops else {}
+    for c in m.circuits:
+        if len(c) > 1:
+            out.setdefault(m.closure(c) - loops, c)
+    return out
+
+
+def greedy_excluded_minor(m):
+    """A minor-minimal non-laminar minor of the non-laminar m, in one pass
+    over its ground: for each e, keep M'\\e if it is not laminar, else
+    M'/e if it is not, else keep e.
+
+    One pass is enough: if M'\\e and M'/e were laminar when e was
+    reached, every later M'' has M''\\e and M''/e as their minors, and
+    laminarity is minor-closed.
+    """
+    from laminarmatroids import HARD_CAP, is_laminar
+
+    for e in m.elements:
+        for side in ("delete", "contract"):
+            minor = m.minor(**{side: (e,)})
+            if not is_laminar(minor, HARD_CAP):
+                m = minor
+                break
+    return m
 
 
 def explicit_deconstruct(m):

@@ -75,7 +75,7 @@ def test_canonicalize_matches_closure_per_circuit(presentations):
         c = canonicalize(p, HARD_CAP)
         assert c.members == want.members
         assert members_with_caps(c) == members_with_caps(want)
-        assert c.evidence == want.evidence
+        assert c.evidence == want.evidence == oracle.closure_evidence(m)
         assert c.loop_set == want.loop_set
 
 

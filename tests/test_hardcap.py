@@ -1,9 +1,10 @@
-"""Presentations at the hard cap, n = 13-16, above the 12-element
-default where the other presentation tests stop.
+"""Presentations and non-laminar hosts at the hard cap, n = 13-16, above
+the 12-element default where the other presentation tests stop.
 
 Each presentation's canonical form, read off its family forest, must
 match the one read off its circuits, and the script deconstruct emits
-must rebuild the same circuits on the same elements.
+must rebuild the same circuits on the same elements.  Each non-laminar
+host must reduce to an excluded minor em(r).
 """
 
 from __future__ import annotations
@@ -12,13 +13,16 @@ import random
 
 import pytest
 
-from _corpus import inflate, random_laminar_presentation
+import _oracles as oracle
+from _corpus import inflate, non_laminar_hosts, random_laminar_presentation
 from laminarmatroids import (
     HARD_CAP,
     LaminarPresentation,
     canonical_from_matroid,
     canonicalize,
     deconstruct,
+    excluded_minor,
+    is_isomorphic,
     run_script,
 )
 
@@ -48,10 +52,25 @@ def test_canonical_form_and_script_at_the_hard_cap(p):
     c = canonicalize(p, HARD_CAP)
     want = canonical_from_matroid(m, HARD_CAP)
     assert c == want
-    assert c.evidence == want.evidence
+    assert c.evidence == want.evidence == oracle.closure_evidence(m)
     assert c.loop_set == want.loop_set
     # the script lists the ground in its own order, so compare name sets
     rebuilt = run_script(deconstruct(c, HARD_CAP)).to_explicit(HARD_CAP)
     assert sorted(rebuilt.elements) == sorted(m.elements)
     assert set(rebuilt.circuits) == set(m.circuits)
 
+
+
+def test_non_laminar_hosts_reduce_to_excluded_minors():
+    """Fife and Oxley: the em(r), r >= 3, are the only excluded minors for
+    laminarity, so a minor-minimal non-laminar minor of any host is one.
+    The 40 seeded hosts reach em(3) through em(6)."""
+    ranks = set()
+    for m in non_laminar_hosts(random.Random(7), 40):
+        assert 13 <= m.n <= HARD_CAP
+        em = oracle.greedy_excluded_minor(m)
+        r = em.rank()
+        assert em.n == 2 * r - 1
+        assert is_isomorphic(em, excluded_minor(r)) is not None
+        ranks.add(r)
+    assert ranks == {3, 4, 5, 6}

@@ -21,6 +21,7 @@ from laminarmatroids import (
     LoopBase,
     MatroidError,
     NegativeCapacity,
+    NotCanonical,
     NotLaminar,
     RankZero,
     TooLarge,
@@ -128,8 +129,16 @@ class TestRankDP:
                 over = [a for a, k in caps.items() if len(c & a) > k]
                 a = min(over, key=len)
                 least.add((a, caps[a]))
-            tops = p._circuit_tops(p._slot_ranks(p.ground.full_mask))
-            assert {(p.members[i], c) for i, c in tops} == least
+            tops = list(p._circuit_tops(p._slot_ranks(p.ground.full_mask)))
+            assert {(p.members[i], c) for i, c, _ in tops} == least
+            # the closure slot: the highest ancestor of capacity c, or i
+            for i, c, closure in tops:
+                want, j = i, p._parents[i]
+                while j >= 0:
+                    if p._caps[j] == c:
+                        want = j
+                    j = p._parents[j]
+                assert closure == want
 
     def test_forest_record_matches_its_definitions(self):
         """Each free part is the member minus its children, the roots are
@@ -239,6 +248,7 @@ class TestCanonicalize:
         from_circuits = canonical_from_matroid(p.to_explicit())
         assert c == from_circuits
         assert c.evidence == from_circuits.evidence
+        assert c.evidence == oracle.closure_evidence(p.to_explicit())
 
     def test_idempotent(self):
         rng = random.Random(4)
@@ -263,6 +273,55 @@ class TestCanonicalize:
             ev = c.evidence[member]
             assert frozenset(ev) in {frozenset(x) for x in m.circuits}
             assert m.closure(ev) | c.loop_set >= member
+
+
+class TestCanonicalConstructor:
+    """CanonicalPresentation(ground, caps) accepts only canonical
+    families; the loop set and evidence are read off the family."""
+
+    @pytest.mark.parametrize(
+        "ground, family",
+        [
+            ("ab", {"a": 1, "ab": 0}),
+            ("abc", {"abc": 5}),
+            ("abc", {"ab": 1, "abc": 1}),
+        ],
+    )
+    def test_rejects_non_canonical_families(self, ground, family):
+        with pytest.raises(NotCanonical):
+            CanonicalPresentation(ground, {frozenset(a): c for a, c in family.items()})
+
+    def test_loop_set_and_evidence_are_derived(self):
+        family = {frozenset("af"): 0, frozenset("bc"): 1, frozenset("bcde"): 2}
+        c = CanonicalPresentation("abcdef", family)
+        assert CanonicalPresentation.__slots__ == ()
+        assert c == canonicalize(LaminarPresentation("abcdef", family))
+        assert c.loop_set == frozenset("af")
+        assert c.evidence == {
+            frozenset("af"): frozenset("a"),
+            frozenset("bc"): frozenset("bc"),
+            frozenset("bcde"): frozenset("bde"),
+        }
+        assert c.evidence == oracle.closure_evidence(c.to_explicit())
+        for name in ("loop_set", "evidence"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, None)
+
+    def test_random_families_build_exactly_when_canonical(self):
+        """A family builds exactly when it is the canonical form read off
+        its circuits, and a built one has the oracle's evidence."""
+        rng = random.Random(15)
+        for _ in range(200):
+            p = random_laminar_presentation(rng, n_max=7)
+            want = canonical_from_matroid(p.to_explicit())
+            for q in (p, want):
+                if q != want:
+                    with pytest.raises(NotCanonical):
+                        CanonicalPresentation(q.elements, members_with_caps(q))
+                    continue
+                c = CanonicalPresentation(q.elements, members_with_caps(q))
+                assert c == want
+                assert c.evidence == oracle.closure_evidence(c.to_explicit())
 
 
 class TestDeleteContract:
@@ -482,7 +541,7 @@ class TestMaskBuilders:
         rng = random.Random(seed)
         c = canonicalize(random_laminar_presentation(rng, n_max=8))
         items = list(members_with_caps(c).items())
-        assert c == CanonicalPresentation(c.elements, items, c.loop_set, c.evidence)
+        assert c == CanonicalPresentation(c.elements, items)
         for e in sorted(set(c.elements) - c.loop_set):
             want = [(a | {"f"} if e in a else a, cap) for a, cap in items]
             if not any(e in a and cap == 1 for a, cap in items):
