@@ -9,7 +9,6 @@ inverts run_script up to matroid equality on the same labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from ._backend import kernels as K
 from .errors import (
@@ -51,14 +50,7 @@ def uniform(r, n, names=None):
     if n > HARD_CAP:
         raise TooLarge(n, HARD_CAP)
     gs = GroundSet(names)
-    masks = []
-    if r < n:
-        for combo in combinations(range(n), r + 1):
-            m = 0
-            for i in combo:
-                m |= 1 << i
-            masks.append(m)
-    return ExplicitMatroid._from_masks(gs, masks)
+    return ExplicitMatroid._from_masks(gs, K.submasks_of_size(gs.full_mask, r + 1))
 
 
 def circuit(n, names=None):
@@ -283,7 +275,7 @@ def _script(p, out):
     if p.n == 0:
         return out.emit("empty")
     masks, caps = p._masks, p._caps
-    chain = sorted((i for i, c in enumerate(caps) if c), key=lambda i: masks[i].bit_count())
+    chain = [i for i in reversed(p._order) if caps[i]]  # a chain comes smallest first
     if all(masks[i] & masks[j] == masks[i] for i, j in zip(chain, chain[1:])):
         flats = [(p._loops, 0)] + [(masks[i] | p._loops, caps[i]) for i in chain]
         return _emit_chain(p.ground, out, flats)

@@ -133,27 +133,9 @@ def parse_lam(text):
     return LaminarPresentation(ground, caps)
 
 
-def _family_order(p):
-    """Member slots, parents before children, siblings lexicographic.
-
-    Slots are already in lexicographic order, so this is a preorder walk
-    of the family forest.
-    """
-    kids = p._kids
-    order = []
-
-    def expand(slots):
-        for i in slots:
-            order.append(i)
-            expand(kids[i])
-
-    expand(p._roots)
-    return order
-
-
 def render_lam(p):
     out = ["ground " + " ".join(p.ground.elements)]
-    for i in _family_order(p):
+    for i in p._order:
         out.append(f"cap {_render_mask(p.ground, p._masks[i])} {p._caps[i]}")
     return "\n".join(out) + "\n"
 

@@ -6,13 +6,13 @@ laminar: two members either nest or are disjoint.  Presentations are
 immutable values; every operation returns a fresh object.
 
 Each presentation holds its family forest, built once beside the
-laminarity check: parent and child slots, the slots by member size,
-each member's free part (the member minus its children), the root slots
-and the loops (the union of the capacity-0 members).  One dynamic
-programme up that forest, _slot_ranks, gives the rank of a set inside
-every member: min(c(A), |free hits| + the children's ranks).  The rank,
-the tops that carry circuits and the size splits of circuit enumeration
-are read off it; nothing here scans the subsets of the ground.
+laminarity check: parent and child slots, the slots in preorder, each
+member's free part (the member minus its children), the root slots and
+the loops (the union of the capacity-0 members).  One dynamic programme
+up that forest, _slot_ranks, gives the rank of a set inside every
+member: min(c(A), |free hits| + the children's ranks).  The rank, the
+tops that carry circuits and the size splits of circuit enumeration are
+read off it; nothing here scans the subsets of the ground.
 
 Canonical presentations are the unique minimal form: one member per
 circuit closure minus the loops, capacity equal to the member's rank,
@@ -46,6 +46,7 @@ from .matroid import (
     ExplicitMatroid,
     GroundSet,
     _fresh_names,
+    _sort_masks,
 )
 
 
@@ -91,7 +92,7 @@ class LaminarPresentation:
         seen = {}
         for m, cap in pairs:
             seen[m] = min(seen.get(m, cap), cap)
-        masks = sorted(seen, key=K._indices)
+        masks = _sort_masks(seen)
         # parents[i]: slot of the least member properly containing slot i
         # (the members containing one member form a chain)
         parents = [-1] * len(masks)
@@ -118,15 +119,20 @@ class LaminarPresentation:
                 free[p] &= ~masks[i]
             if not seen[masks[i]]:
                 loops |= masks[i]
-        self._masks = tuple(masks)
+        self._masks = masks
         self._caps = tuple(seen[m] for m in masks)
         self._slot = {m: i for i, m in enumerate(masks)}
         self._parents = tuple(parents)
         self._kids = tuple(tuple(k) for k in kids)
-        self._order = tuple(sorted(range(len(masks)), key=lambda i: masks[i].bit_count()))
         self._free = tuple(free)
         self._roots = tuple(i for i, p in enumerate(parents) if p < 0)
         self._loops = loops
+        order, stack = [], list(reversed(self._roots))
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            stack.extend(reversed(kids[i]))
+        self._order = tuple(order)
 
     @property
     def elements(self):
@@ -252,10 +258,11 @@ class LaminarPresentation:
     def _slot_ranks(self, x):
         """f[i]: the rank of mask x inside slot i's member under the
         capacities of that member and those below it, which is
-        min(capacity, free hits + the children's f)."""
+        min(capacity, free hits + the children's f), children first in
+        reversed preorder."""
         f = [0] * len(self._masks)
         free, kids, caps = self._free, self._kids, self._caps
-        for i in self._order:
+        for i in reversed(self._order):
             f[i] = min(caps[i], (free[i] & x).bit_count() + sum(f[k] for k in kids[i]))
         return f
 

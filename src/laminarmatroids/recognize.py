@@ -161,13 +161,10 @@ def _pair_shape(m):
         f1 = maximal[0]
         f2 = whole - f1
     r1, r2 = m.rank(f1), m.rank(f2)
-    depth = r1 + r2 - m.rank()
-    if depth < 1:
-        return None
     sides = [(f1, r1), (f2, r2), (whole, m.rank())]
     if LaminarPresentation(m.ground, sides).to_explicit(m.n) != m:
         return None
-    return ((f1, r1), (f2, r2), depth)
+    return ((f1, r1), (f2, r2), r1 + r2 - m.rank())
 
 
 def _component_shape(m, block, max_n):
@@ -245,8 +242,9 @@ def excluded_minor_witness(m, max_n=DESK_CAP):
 
     The excluded_minor(r), r >= 3, are the excluded minors of the laminar
     matroids (Fife and Oxley, "Laminar matroids"), so a laminar host, as
-    is_laminar decides it, returns None with no search.  Otherwise ranks
-    run from 3 up to the largest size that fits, (n + 1) // 2.
+    is_laminar decides it, returns None with no search.  Otherwise some
+    rank from 3 up to (n + 1) // 2 hits: a non-laminar host has some
+    excluded_minor(s) minor, and that has 2s - 1 <= n elements.
     """
     if is_laminar(m, max_n):
         return None
@@ -254,17 +252,23 @@ def excluded_minor_witness(m, max_n=DESK_CAP):
         w = has_minor(m, excluded_minor(r))
         if w is not None:
             return (r, w)
-    return None
+    raise MatroidError("internal: a non-laminar host has no excluded minor")
 
 
 def classify(m, max_n=DESK_CAP):
-    """All five class verdicts in one record."""
+    """All five class verdicts in one record.  Ternary reuses binary's
+    verdict unless that found U(2,4), a minor of U(2,5) and of U(3,5)
+    (delete or contract a point): without it both uniform searches miss
+    and the excluded-minor search repeats binary's, witness and all."""
     nested = is_nested(m, max_n)
     laminar = is_laminar(m, max_n)
+    binary = ternary = _exclusion(m, _BINARY, laminar)
+    if binary.found and binary.found[0] == "uniform(2,4)":
+        ternary = _exclusion(m, _TERNARY, laminar)
     return Classification(
         nested=nested,
         laminar=laminar,
         dual_laminar=_dual_laminar(m, laminar, max_n),
-        binary_laminar=_exclusion(m, _BINARY, laminar),
-        ternary_laminar=_exclusion(m, _TERNARY, laminar),
+        binary_laminar=binary,
+        ternary_laminar=ternary,
     )

@@ -154,6 +154,14 @@ class TestMinorClassifyWitness:
         assert any(line.startswith("binary-laminar: no") for line in lines)
         assert any(line == "ternary-laminar: yes" for line in lines)
 
+    def test_classify_prints_a_pair_component(self, files, capsys):
+        dt = render_ckt(direct_sum(uniform(2, 3), uniform(2, 3)).truncate())
+        code, out, _ = run(capsys, "classify", files("dt.ckt", dt))
+        assert code == 0
+        assert out.splitlines()[7] == (
+            "  component {e1,e2,e3,e1',e2',e3'}: pair sides {e1,e2,e3}:2 {e1',e2',e3'}:2 depth 1"
+        )
+
 
 class TestConstructDeconstruct:
     def test_construct(self, files, capsys):

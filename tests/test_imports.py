@@ -1,8 +1,11 @@
-"""Every module-level import in the package is used.
+"""Every module-level import and definition in the package is used.
 
 An ast walk stands in for a linter: a name bound by a top-level import
 must be read somewhere in its module.  `__init__.py` and `_backend.py`
-are skipped, since their imports are the package's re-exports.
+are skipped, since their imports are the package's re-exports.  A
+second walk finds dead helpers: every module-level function, class or
+constant must be named somewhere in the package outside its own
+definition, as a name, an attribute (`K._indices`) or an import.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "laminarmatroids"
+SOURCES = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
 MODULES = sorted(
     p for p in PACKAGE.glob("*.py") if p.name not in ("__init__.py", "_backend.py")
 )
@@ -42,3 +46,51 @@ def test_the_walk_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_definitions(sources):
+    """(module, line, name) of each module-level function, class or
+    constant that no line outside its own definition names; `sources`
+    maps module names to their text, and dunders are skipped."""
+    defined, named = [], []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("__"):
+                    defined.append((module, node.lineno, node.end_lineno, name))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                named.append((module, n.lineno, n.id))
+            elif isinstance(n, ast.Attribute):
+                named.append((module, n.lineno, n.attr))
+            elif isinstance(n, ast.ImportFrom):
+                named += [(module, n.lineno, alias.name) for alias in n.names]
+    return sorted(
+        (module, first, name)
+        for module, first, last, name in defined
+        if not any(
+            used == name and (where != module or not first <= line <= last)
+            for where, line, used in named
+        )
+    )
+
+
+def test_the_walk_finds_dead_helpers():
+    sources = {
+        "a.py": "def used():\n    pass\n\n\ndef dead(n):\n    return dead(n - 1)\n"
+        "X = 1\n_Y = 2\n__all__ = []\n",
+        "b.py": "from .a import used\nK.X\n",
+    }
+    assert unreferenced_definitions(sources) == [("a.py", 5, "dead"), ("a.py", 8, "_Y")]
+
+
+def test_no_dead_module_definitions():
+    assert unreferenced_definitions(SOURCES) == []

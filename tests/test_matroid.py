@@ -10,6 +10,7 @@ import pytest
 import _oracles as oracle
 from _corpus import full_corpus
 from laminarmatroids import (
+    BadBasepoint,
     EliminationFails,
     ExplicitMatroid,
     MatroidError,
@@ -287,6 +288,16 @@ class TestTruncateAndSums:
         }
         assert is_isomorphic(p, EM3)
 
+    @pytest.mark.parametrize(
+        "why, circuits", [("loop", [{"a"}, {"b", "c"}]), ("coloop", [{"b", "c"}])]
+    )
+    def test_parallel_connection_rejects_a_bad_basepoint(self, why, circuits):
+        m = build_matroid(("a", "b", "c"), circuits)
+        for left, right, p1, p2 in ((m, uniform(2, 3), "a", "e1"), (uniform(2, 3), m, "e1", "a")):
+            with pytest.raises(BadBasepoint) as err:
+                parallel_connection(left, right, p1, p2)
+            assert (err.value.element, err.value.why) == ("a", why)
+
     def test_parallel_connection_of_four_circuits(self):
         p = parallel_connection(circuit(4), circuit(4), "e1", "e1")
         assert p.n == 7
@@ -446,6 +457,16 @@ class TestHasMinor:
         assert w.contract
         for bad in (foreign, overlap):
             assert apply_witness(uniform(3, 6), bad, uniform(2, 4)) is False
+
+    def test_truncated_mapping_does_not_replay(self):
+        w = has_minor(uniform(3, 6), uniform(2, 4))
+        truncated = MinorWitness(w.delete, w.contract, w.mapping[:-1])
+        assert apply_witness(uniform(3, 6), truncated, uniform(2, 4)) is False
+
+    def test_witness_against_the_wrong_target_does_not_replay(self):
+        w = has_minor(EM3, EM3)
+        assert apply_witness(EM3, w, EM3)
+        assert apply_witness(EM3, w, uniform(2, 5)) is False
 
     def test_same_witness_as_the_reference_loop(self):
         """The witness is the reference loop's, whose contractions take

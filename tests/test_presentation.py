@@ -160,6 +160,18 @@ class TestRankDP:
                     loops |= a
             assert p._loops == loops
 
+    def test_order_is_the_preorder_of_the_forest(self):
+        """Parents before children, siblings in slot order: sorting the
+        slots by their root-to-slot paths gives the same order."""
+        for p in forest_sample(14):
+            paths = []
+            for i in range(len(p._masks)):
+                path = [i]
+                while p._parents[path[-1]] >= 0:
+                    path.append(p._parents[path[-1]])
+                paths.append(path[::-1])
+            assert p._order == tuple(path[-1] for path in sorted(paths))
+
 
 class TestIndependenceAndRank:
     def test_examples(self):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 import _oracles as oracle
-from _corpus import full_corpus, named_corpus, random_script
+from _corpus import full_corpus, named_corpus, non_laminar_hosts, random_script
 from laminarmatroids import (
     MatroidError,
     NotLaminar,
@@ -334,6 +334,38 @@ class TestLaminarHostsSkipExcludedMinorSearch:
         assert c.binary_laminar.found == ("uniform(2,4)", has_minor(m, uniform(2, 4)))
         assert c.ternary_laminar.found == ("excluded-minor(3)", has_minor(m, EM3))
         assert classify_ternary_laminar(m) == c.ternary_laminar
+
+
+class TestClassifyReusesBinaryVerdict:
+    def test_no_uniform_search_after_a_missing_u24(self, searched):
+        c = classify(EM3)
+        assert searched == [uniform(2, 4), EM3]
+        assert c.ternary_laminar is c.binary_laminar
+        assert c.ternary_laminar == classify_ternary_laminar(EM3)
+
+    def test_verdicts_match_the_classifiers_on_the_corpus(self):
+        hosts = full_corpus(random.Random(7), 300, n_cap=10)
+        reused = pairs = 0
+        for m in hosts:
+            c = classify(m)
+            assert c.binary_laminar == classify_binary_laminar(m)
+            assert c.ternary_laminar == classify_ternary_laminar(m)
+            reused += c.ternary_laminar is c.binary_laminar
+            for shape in c.dual_laminar.components:
+                if shape.kind == "pair":
+                    pairs += 1
+                    assert shape.depth >= 1
+        assert (len(hosts), reused, pairs) == (218, 128, 6)
+
+    def test_verdicts_match_on_the_non_laminar_hosts_without_u24(self):
+        hosts = non_laminar_hosts(random.Random(7), 40)
+        without_u24 = [i for i, m in enumerate(hosts) if has_minor(m, U24) is None]
+        assert without_u24 == [14, 27, 36]
+        for i in without_u24:
+            c = classify(hosts[i], 16)
+            assert c.ternary_laminar is c.binary_laminar
+            assert c.binary_laminar == classify_binary_laminar(hosts[i], 16)
+            assert c.ternary_laminar == classify_ternary_laminar(hosts[i], 16)
 
 
 class TestClassify:
