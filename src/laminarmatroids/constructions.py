@@ -2,8 +2,13 @@
 
 Scripts combine four primitives: EMPTY, COLOOP (free extension by a
 coloop), TRUNCATE, and DSUM.  Together they generate exactly the laminar
-matroids; DSUM-free scripts generate the nested ones.  deconstruct
-inverts run_script up to matroid equality on the same labels.
+matroids; DSUM-free scripts generate the nested ones (Fife and Oxley,
+"Laminar matroids").  deconstruct inverts run_script up to matroid
+equality on the same labels, reading the construction off the family
+forest of the canonical presentation: in it each member has rank equal
+to its capacity, so the member's matroid is the direct sum of its
+children's, extended by its free elements as coloops and truncated down
+to its capacity.
 """
 
 from __future__ import annotations
@@ -215,110 +220,60 @@ def run_script(script):
     return live[script.result]
 
 
-class _Emitter:
-    def __init__(self):
-        self.steps = []
-        self.counter = 0
-
-    def fresh(self):
-        self.counter += 1
-        return f"m{self.counter}"
-
-    def emit(self, op, *args):
-        name = self.fresh()
-        self.steps.append((op, name) + args)
-        return name
-
-
-def _emit_chain(ground, out, flats):
-    """Script for a matroid whose cyclic flats form a chain.
-
-    `flats` holds (mask, rank) pairs along the chain.  Walk it outward:
-    the new elements of each flat arrive as coloops, then truncations
-    pull the rank down to the flat's rank.  Elements beyond the last
-    flat are genuine coloops.  No dsum needed.
-    """
-    name = out.emit("empty")
-    rank = 0
-    done = 0
-    for f, r in flats:
-        for e in ground.tuple_of(f & ~done):
-            name = out.emit("coloop", name, e)
-            rank += 1
-        for _ in range(rank - r):
-            name = out.emit("truncate", name)
-        rank = r
-        done = f
-    for e in ground.tuple_of(ground.full_mask & ~done):
-        name = out.emit("coloop", name, e)
-    return name
-
-
-def _restrict(p, keep):
-    """Canonical presentation p restricted to a block or a member: the
-    non-loop members inside `keep`, and its loops."""
-    pairs = [(a, c) for a, c in zip(p._masks, p._caps) if c and a & keep == a]
-    masks, caps = zip(*pairs, (p._loops & keep, 0))
-    pairs = [(m, c) for m, c in zip(K.compress(masks, keep), caps) if m]
-    return LaminarPresentation._from_masks(GroundSet(p.ground.tuple_of(keep)), pairs)
-
-
-def _dsum_all(out, names):
-    acc = names[0]
-    for nm in names[1:]:
-        acc = out.emit("dsum", acc, nm)
-    return acc
-
-
-def _script(p, out):
-    """Emit the steps for canonical presentation p; returns their name."""
-    if p.n == 0:
-        return out.emit("empty")
-    masks, caps = p._masks, p._caps
-    chain = [i for i in reversed(p._order) if caps[i]]  # a chain comes smallest first
-    if all(masks[i] & masks[j] == masks[i] for i, j in zip(chain, chain[1:])):
-        flats = [(p._loops, 0)] + [(masks[i] | p._loops, caps[i]) for i in chain]
-        return _emit_chain(p.ground, out, flats)
-    roots = [masks[i] for i in p._roots if caps[i]]
-    singles = p.ground.full_mask & ~sum(roots)  # disjoint; then the loops and coloops
-    blocks = roots + list(K._bits(singles))
-    if len(blocks) > 1:
-        blocks.sort(key=lambda b: b & -b)
-        return _dsum_all(out, [_script(_restrict(p, b), out) for b in blocks])
-    whole = p._slot[p.ground.full_mask]
-    loose = p._free[whole]
-    if loose:
-        e = p.ground.elements[K._indices(loose)[0]]
-        name = _script(canonicalize(p.delete(e), HARD_CAP), out)
-        name = out.emit("coloop", name, e)
-        return out.emit("truncate", name)
-    kids = p._kids[whole]
-    acc = _dsum_all(out, [_script(_restrict(p, masks[k]), out) for k in kids])
-    for _ in range(sum(caps[k] for k in kids) - caps[whole]):
-        acc = out.emit("truncate", acc)
-    return acc
-
-
 def deconstruct(p, max_n=DESK_CAP):
     """Script that rebuilds the matroid of a canonical presentation.
 
-    Recurses on canonical presentations along the family forest.  When
-    the non-loop members form a chain, so do the cyclic flats (the loops,
-    then each member joined with the loops), and the script walks that
-    chain.  Otherwise several blocks (the top-level members, each loop
-    and each coloop) combine by DSUM; a free element of the spanning
-    member peels off (delete, then COLOOP + TRUNCATE); or the matroid is
-    a truncated direct sum over the spanning member's children.  Blocks,
-    children and free elements go in identifier order, so output is
-    deterministic.
+    One walk of the family forest, after Fife and Oxley's construction:
+    a member's matroid is the direct sum of its children's matroids with
+    its free elements added as coloops, truncated to its capacity.  In a
+    canonical presentation every member has rank equal to its capacity,
+    so a member with children of total capacity s and free part F takes
+    s + |F| - c truncations.  The loops come first (coloops truncated to
+    rank 0), and the first leaf reached in preorder grows from them
+    instead of from a fresh EMPTY, so a chain of members, which is a
+    nested matroid, needs no DSUM.  The roots of positive capacity are
+    summed the same way and the coloops come last.  Children, roots and
+    free elements go in slot and ground order, so output is
+    deterministic; a script uses DSUM exactly when the matroid is not
+    nested.
     """
     if not isinstance(p, CanonicalPresentation):
         raise NotCanonical("deconstruct expects a canonical presentation")
     if p.n > max_n:
         raise TooLarge(p.n, max_n)
-    out = _Emitter()
-    result = _script(p, out)
-    return ConstructionScript(steps=tuple(out.steps), result=result)
+    steps = []
+
+    def emit(op, *args):
+        name = f"m{len(steps) + 1}"
+        steps.append((op, name) + args)
+        return name
+
+    def grow(name, rank, free, cap):
+        for e in p.ground.tuple_of(free):
+            name = emit("coloop", name, e)
+        for _ in range(rank + free.bit_count() - cap):
+            name = emit("truncate", name)
+        return name
+
+    start = [grow(emit("empty"), 0, p._loops, 0)]
+
+    def dsum(slots):
+        """The direct sum of the slots' matroids and its rank; with no
+        slots, the loops' matroid the first time and EMPTY after."""
+        if not slots:
+            return start.pop() if start else emit("empty"), 0
+        name = build(slots[0])
+        for k in slots[1:]:
+            name = emit("dsum", name, build(k))
+        return name, sum(p._caps[k] for k in slots)
+
+    def build(i):
+        return grow(*dsum(p._kids[i]), p._free[i], p._caps[i])
+
+    name, rank = dsum([i for i in p._roots if p._caps[i]])
+    coloops = p.ground.full_mask & ~sum(p._masks[i] for i in p._roots)
+    result = grow(name, rank, coloops, rank + coloops.bit_count())
+    return ConstructionScript(steps=tuple(steps), result=result)
 
 
 def binary_component(n, plan=(), max_n=DESK_CAP):

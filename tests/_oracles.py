@@ -3,12 +3,15 @@
 Everything here works from first definitions on tiny inputs: powerset
 scans, permutation search, no library internals, and no bitmasks except
 in laminar_circuit_masks, minimal_sets and first_bijection.  Slow on
-purpose; keep n small.  Five helpers are exceptions.
-explicit_deconstruct, closure_evidence and search_excluded_minor_witness
-keep computations the library no longer makes, and greedy_excluded_minor
-reduces a host to a minimal non-laminar minor; these four are built from
-the library's public calls.  reference_find_minor is the minor search as
-it ran before contractions read their circuits off the dependent sets.
+purpose; keep n small.  Six helpers are exceptions.  forest_deconstruct
+rebuilds deconstruct's script from the circuits; explicit_deconstruct,
+closure_evidence and search_excluded_minor_witness keep computations the
+library no longer makes (explicit_deconstruct is the old four-case
+script, kept to pin that nested matroids still get it and no script got
+longer); and greedy_excluded_minor reduces a host to a minimal
+non-laminar minor.  These five are built from the library's public
+calls.  reference_find_minor is the minor search as it ran before
+contractions read their circuits off the dependent sets.
 """
 
 from __future__ import annotations
@@ -435,4 +438,58 @@ def explicit_deconstruct(m):
         return acc
 
     result = walk(m)
+    return tuple(steps), result
+
+
+def forest_deconstruct(m):
+    """(steps, result) of deconstruct's script for a laminar m, read off
+    its circuits: the members of its canonical presentation are the
+    distinct closures of the circuits of size >= 2 minus the loops, each
+    at its rank, and a member's children are the maximal members inside
+    it, taken by ascending index tuple.
+
+    A member's matroid is its children's summed left to right, its
+    other elements added as coloops and truncated to its rank.  The
+    loops come first; the first member without children grows from them
+    and every later one from EMPTY.  The maximal members are summed the
+    same way, then the elements in no member and no loop are coloops.
+    """
+    loops = m.loops()
+    members = {m.closure(c) - loops for c in m.circuits if len(c) > 1}
+    steps = []
+    start = []
+
+    def emit(op, *args):
+        name = f"m{len(steps) + 1}"
+        steps.append((op, name) + args)
+        return name
+
+    def grow(name, rank, free, cap):
+        for e in sorted(free, key=m.ground.index):
+            name = emit("coloop", name, e)
+        for _ in range(rank + len(free) - cap):
+            name = emit("truncate", name)
+        return name
+
+    def maximal(inside):
+        tops = [a for a in inside if not any(a < b for b in inside)]
+        return sorted(tops, key=lambda a: sorted(m.ground.index(x) for x in a))
+
+    def summed(parts):
+        if not parts:
+            return start.pop() if start else emit("empty"), 0
+        name = build(parts[0])
+        for a in parts[1:]:
+            name = emit("dsum", name, build(a))
+        return name, sum(m.rank(a) for a in parts)
+
+    def build(a):
+        kids = maximal([b for b in members if b < a])
+        covered = frozenset().union(*kids)
+        return grow(*summed(kids), a - covered, m.rank(a))
+
+    start.append(grow(emit("empty"), 0, loops, 0))
+    name, rank = summed(maximal(members))
+    coloops = frozenset(m.elements) - loops - frozenset().union(*members)
+    result = grow(name, rank, coloops, rank + len(coloops))
     return tuple(steps), result

@@ -11,6 +11,7 @@ from laminarmatroids.formats import render_ckt
 EM3_CKT = render_ckt(excluded_minor(3))
 U24_CKT = render_ckt(uniform(2, 4, ("a", "b", "c", "d")))
 CHAIN_LAM = "ground a b c d\ncap {a,b} 1\ncap {a,b,c,d} 2\n"
+FOREST_LAM = "ground a b c d e f g\ncap {a,b,c} 2\ncap {d,e} 1\ncap {f} 0\n"
 INFLATED_LAM = "ground a b c d\ncap {a,b} 1\ncap {a,b,c} 2\ncap {a,b,c,d} 2\n"
 TRIANGLE_MBS = "m1 = empty\nm2 = coloop m1 a\nm3 = coloop m2 b\nm4 = coloop m3 c\nm5 = truncate m4\nresult m5\n"
 
@@ -179,6 +180,33 @@ class TestConstructDeconstruct:
         got = set(out3.splitlines()[1:])
         want = set(out4.splitlines()[1:])
         assert got == want
+
+    def test_deconstruct_walks_the_forest(self, files, capsys):
+        """The loops, then each top member from its children, then one
+        DSUM of the tops, then the coloops."""
+        lam = files("p.lam", FOREST_LAM)
+        code, out, _ = run(capsys, "deconstruct", lam)
+        assert code == 0
+        assert out.splitlines() == [
+            "m1 = empty",
+            "m2 = coloop m1 f",
+            "m3 = truncate m2",
+            "m4 = coloop m3 a",
+            "m5 = coloop m4 b",
+            "m6 = coloop m5 c",
+            "m7 = truncate m6",
+            "m8 = empty",
+            "m9 = coloop m8 d",
+            "m10 = coloop m9 e",
+            "m11 = truncate m10",
+            "m12 = dsum m7 m11",
+            "m13 = coloop m12 g",
+            "result m13",
+        ]
+        _, built, _ = run(capsys, "construct", files("s.mbs", out))
+        _, got, _ = run(capsys, "explicit", files("q.lam", built))
+        _, want, _ = run(capsys, "explicit", lam)
+        assert set(got.splitlines()[1:]) == set(want.splitlines()[1:])
 
 
 class TestMaxWeight:

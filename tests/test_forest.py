@@ -1,7 +1,7 @@
 """Presentation commands on the family forest against the enumeration
 oracles: the 2^n circuit scan, the closure-per-circuit canonical
-form of the explicit matroid, and the explicit-matroid deconstruct
-recursion."""
+form of the explicit matroid, the forest script rebuilt from the
+circuits, and the old explicit-matroid deconstruct recursion."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from laminarmatroids import (
     canonicalize,
     deconstruct,
     is_laminar,
+    is_nested,
     nested_from_chain,
     run_script,
 )
@@ -82,8 +83,36 @@ def test_canonicalize_matches_closure_per_circuit(presentations):
 def test_deconstruct_matches_explicit_recursion(presentations):
     for p in presentations:
         script = deconstruct(canonicalize(p, HARD_CAP), HARD_CAP)
-        want = oracle.explicit_deconstruct(p.to_explicit(HARD_CAP))
+        want = oracle.forest_deconstruct(p.to_explicit(HARD_CAP))
         assert (script.steps, script.result) == want
+
+
+def test_deconstruct_keeps_the_old_script_on_nested_inputs(presentations):
+    """The old recursion walked the chain of cyclic flats when there was
+    one; the forest walk emits the same steps there, and never more steps
+    elsewhere."""
+    nested = 0
+    for p in presentations:
+        m = p.to_explicit(HARD_CAP)
+        script = deconstruct(canonicalize(p, HARD_CAP), HARD_CAP)
+        old_steps, old_result = oracle.explicit_deconstruct(m)
+        assert len(script.steps) <= len(old_steps)
+        if is_nested(m, HARD_CAP):
+            nested += 1
+            assert (script.steps, script.result) == (old_steps, old_result)
+    assert nested == 3429
+
+
+def test_dsum_exactly_when_not_nested(presentations):
+    """DSUM-free scripts build exactly the nested matroids (Fife and
+    Oxley), checked from deconstruct's side."""
+    corpus = full_corpus(random.Random(7), 300, n_cap=10)
+    hosts = [v.presentation for v in map(is_laminar, corpus) if v]
+    hosts += [canonicalize(p, HARD_CAP) for p in presentations]
+    for c in hosts:
+        script = deconstruct(c, HARD_CAP)
+        has_dsum = any(step[0] == "dsum" for step in script.steps)
+        assert has_dsum != is_nested(c.to_explicit(HARD_CAP), HARD_CAP).nested
 
 
 def test_dense_sixteen():

@@ -4,12 +4,14 @@ the 12-element default where the other presentation tests stop.
 Each presentation's canonical form, read off its family forest, must
 match the one read off its circuits, and the script deconstruct emits
 must rebuild the same circuits on the same elements.  Each non-laminar
-host must reduce to an excluded minor em(r).
+host must reduce to an excluded minor em(r), and the witness command
+must find one with --max-n 16.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -25,6 +27,15 @@ from laminarmatroids import (
     is_isomorphic,
     run_script,
 )
+from laminarmatroids.cli import main
+from laminarmatroids.formats import parse_ckt, render_ckt
+from laminarmatroids.matroid import MinorWitness, apply_witness
+
+# The hosts of non_laminar_hosts(Random(7), 40) with the slowest witness
+# searches (1-4 s each, against at most about 0.5 s for the others); the
+# other 30 still reach every rank from 3 to 6.
+SLOW_WITNESS_HOSTS = {2, 5, 7, 8, 15, 21, 26, 28, 33, 38}
+WITNESS_LINE = re.compile(r"witness: excluded-minor\((\d+)\) delete \{(.*)\} contract \{(.*)\} map (.*)")
 
 
 def chain16():
@@ -60,7 +71,6 @@ def test_canonical_form_and_script_at_the_hard_cap(p):
     assert set(rebuilt.circuits) == set(m.circuits)
 
 
-
 def test_non_laminar_hosts_reduce_to_excluded_minors():
     """Fife and Oxley: the em(r), r >= 3, are the only excluded minors for
     laminarity, so a minor-minimal non-laminar minor of any host is one.
@@ -74,3 +84,37 @@ def test_non_laminar_hosts_reduce_to_excluded_minors():
         assert is_isomorphic(em, excluded_minor(r)) is not None
         ranks.add(r)
     assert ranks == {3, 4, 5, 6}
+
+
+def parse_witness(line):
+    """(r, MinorWitness) from the `witness` command's output line."""
+    r, delete, contract, pairs = WITNESS_LINE.fullmatch(line).groups()
+    mapping = tuple(tuple(pair.split("->")) for pair in pairs.split(","))
+    names = lambda text: frozenset(text.split(",")) if text else frozenset()
+    return int(r), MinorWitness(names(delete), names(contract), mapping)
+
+
+def test_witness_at_the_hard_cap(tmp_path, capsys):
+    """The `witness` command with --max-n 16 on 30 hosts of 13-16
+    elements: each printed witness replays against em(r), and r is at
+    most the rank of the em(r) the greedy reduction reaches (less on
+    hosts 19 and 37).  The command reads back exactly the host, so its
+    search is excluded_minor_witness on the host itself."""
+    hosts = non_laminar_hosts(random.Random(7), 40)
+    ranks, below_greedy = set(), set()
+    for i, m in enumerate(hosts):
+        if i in SLOW_WITNESS_HOSTS:
+            continue
+        path = tmp_path / f"h{i}.ckt"
+        path.write_text(render_ckt(m))
+        assert parse_ckt(path.read_text()) == m
+        assert main(["witness", str(path), "--max-n", "16"]) == 0
+        r, w = parse_witness(capsys.readouterr().out.rstrip("\n"))
+        assert apply_witness(m, w, excluded_minor(r))
+        greedy = oracle.greedy_excluded_minor(m).rank()
+        assert r <= greedy
+        if r < greedy:
+            below_greedy.add(i)
+        ranks.add(r)
+    assert ranks == {3, 4, 5, 6}
+    assert below_greedy == {19, 37}

@@ -5,7 +5,9 @@ must be read somewhere in its module.  `__init__.py` and `_backend.py`
 are skipped, since their imports are the package's re-exports.  A
 second walk finds dead helpers: every module-level function, class or
 constant must be named somewhere in the package outside its own
-definition, as a name, an attribute (`K._indices`) or an import.
+definition, as a name, an attribute (`K._indices`) or an import.  The
+same walk covers the shared test helpers in `_oracles.py` and
+`_corpus.py`, whose names must be read somewhere under `tests/`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "laminarmatroids"
+TESTS = Path(__file__).resolve().parent
 SOURCES = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+TEST_SOURCES = {p.name: p.read_text() for p in sorted(TESTS.glob("*.py"))}
 MODULES = sorted(
     p for p in PACKAGE.glob("*.py") if p.name not in ("__init__.py", "_backend.py")
 )
@@ -48,14 +52,15 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unreferenced_definitions(sources):
+def unreferenced_definitions(sources, owners=None):
     """(module, line, name) of each module-level function, class or
-    constant that no line outside its own definition names; `sources`
-    maps module names to their text, and dunders are skipped."""
+    constant of the `owners` modules (all by default) that no line of
+    `sources` outside its own definition names; `sources` maps module
+    names to their text, and dunders are skipped."""
     defined, named = [], []
     for module, source in sources.items():
         tree = ast.parse(source)
-        for node in tree.body:
+        for node in tree.body if owners is None or module in owners else ():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -94,3 +99,12 @@ def test_the_walk_finds_dead_helpers():
 
 def test_no_dead_module_definitions():
     assert unreferenced_definitions(SOURCES) == []
+
+
+def test_the_walk_keeps_to_its_owners():
+    sources = {"a.py": "def dead():\n    pass\n", "b.py": "def unused():\n    pass\n"}
+    assert unreferenced_definitions(sources, owners=("b.py",)) == [("b.py", 1, "unused")]
+
+
+def test_no_dead_test_helpers():
+    assert unreferenced_definitions(TEST_SOURCES, owners=("_oracles.py", "_corpus.py")) == []

@@ -32,7 +32,6 @@ from laminarmatroids import (
     excluded_minor,
     uniform,
 )
-from laminarmatroids.constructions import _restrict
 
 GROUND4 = ("a", "b", "c", "d")
 CHAIN = LaminarPresentation(GROUND4, {frozenset("ab"): 1, frozenset("abcd"): 2})
@@ -559,12 +558,6 @@ class TestMaskBuilders:
             if not any(e in a and cap == 1 for a, cap in items):
                 want.append((frozenset((e, "f")), 1))
             assert c.parallel_extend(e, "f") == LaminarPresentation(c.elements + ("f",), want)
-        for keep in [*c.members, frozenset(c.elements)]:
-            want = [(a, cap) for a, cap in items if cap and a <= keep]
-            if c.loop_set & keep:
-                want.append((c.loop_set & keep, 0))
-            ground = [x for x in c.elements if x in keep]
-            assert _restrict(c, c.ground.mask_of(keep)) == LaminarPresentation(ground, want)
 
     def test_crossing_masks_raise_not_laminar(self):
         with pytest.raises(NotLaminar):
