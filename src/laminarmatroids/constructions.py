@@ -37,7 +37,6 @@ from .presentation import (
     CanonicalPresentation,
     LaminarPresentation,
     canonical_from_matroid,
-    canonicalize,
 )
 
 
@@ -290,10 +289,8 @@ def binary_component(n, plan=(), max_n=DESK_CAP):
         if b not in names:
             raise BadParams(f"plan entry {b!r} is not a base circuit element")
     pres = canonical_from_matroid(base, max_n)
-    nxt = n + 1
-    for b in plan:
-        pres = canonicalize(pres.parallel_extend(b, f"e{nxt}"), max_n)
-        nxt += 1
+    for k, b in enumerate(plan, n + 1):
+        pres = pres.parallel_extend(b, f"e{k}")
     return pres.to_explicit(max_n)
 
 

@@ -72,6 +72,14 @@ def _parse_ground(lineno, line):
     return tuple(_parse_ident(p, lineno) for p in parts[1:])
 
 
+def _check_names(names):
+    """ParseError on the first name IDENT rejects, which a parser would
+    read back otherwise; one match over the joined names, all nonempty."""
+    if names and not (all(names) and IDENT.match("".join(names))):
+        bad = next(x for x in names if not IDENT.match(x))
+        raise ParseError(f"cannot render identifier {bad!r}")
+
+
 def render_set(ground, items):
     return _render_mask(ground, ground.mask_of(items))
 
@@ -110,6 +118,7 @@ def parse_ckt(text, max_n=HARD_CAP):
 
 
 def render_ckt(m):
+    _check_names(m.elements)
     out = ["ground " + " ".join(m.elements)]
     for c in m._masks:
         out.append("circuit " + _render_mask(m.ground, c))
@@ -134,6 +143,7 @@ def parse_lam(text):
 
 
 def render_lam(p):
+    _check_names(p.ground.elements)
     out = ["ground " + " ".join(p.ground.elements)]
     for i in p._order:
         out.append(f"cap {_render_mask(p.ground, p._masks[i])} {p._caps[i]}")
@@ -169,9 +179,11 @@ def parse_mbs(text):
 
 
 def render_mbs(script):
-    out = []
+    out, names = [], []
     for step in script.steps:
         _check_step(step, ParseError, " in script")
+        names += step[1:]
         out.append(" ".join((step[1], "=", step[0], *step[2:])))
+    _check_names(names + [script.result])
     out.append(f"result {script.result}")
     return "\n".join(out) + "\n"

@@ -387,27 +387,24 @@ class CanonicalPresentation(LaminarPresentation):
         return {gs.set_of(a): gs.set_of(_least_circuit(self, i)) for i, a in enumerate(self._masks)}
 
     def parallel_extend(self, e, f):
-        """Clone e by a fresh parallel element f.
+        """Clone e by a fresh parallel element f; the result is canonical.
 
-        When e already sits in a capacity-1 member (a nontrivial parallel
-        class), f simply joins every member through e; otherwise the pair
-        {e, f} is also added with capacity 1.
+        f joins every member through e: the new circuits are {e, f} and
+        C - e + f for each circuit C through e, so every closure through e
+        gains f.  Unless e's parallel class, a capacity-1 member, is
+        there, {e, f} = cl({e, f}) joins at capacity 1.
         """
-        i = self.ground.index(e)
-        if e in self.loop_set:
+        bit = 1 << self.ground.index(e)
+        if self._loops & bit:
             raise LoopBase(e)
         if f in self.ground:
             raise DuplicateElement(f)
-        bit = 1 << i
         gs = GroundSet(self.ground.elements + (f,))
         fbit = 1 << (len(gs) - 1)
-        in_parallel_class = any(
-            a & bit and c == 1 for a, c in zip(self._masks, self._caps)
-        )
         pairs = [(a | fbit if a & bit else a, c) for a, c in zip(self._masks, self._caps)]
-        if not in_parallel_class:
+        if not any(a & bit and c == 1 for a, c in pairs):
             pairs.append((bit | fbit, 1))
-        return LaminarPresentation._from_masks(gs, pairs)
+        return CanonicalPresentation._from_masks(gs, pairs)
 
 
 def canonical_from_matroid(m, max_n=DESK_CAP):

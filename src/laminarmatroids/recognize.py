@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .constructions import excluded_minor, uniform
 from .errors import MatroidError, NotLaminar, TooLarge
 from .matroid import DESK_CAP, has_minor
-from .presentation import LaminarPresentation, canonical_from_matroid
+from .presentation import canonical_from_matroid
 
 
 @dataclass(frozen=True)
@@ -140,31 +140,21 @@ def is_nested(m, max_n=DESK_CAP):
 
 
 def _pair_shape(m):
-    """Detect a truncated direct sum of two uniform matroids.
+    """Sides and depth of a non-nested block that is a truncated direct
+    sum of two uniform matroids, or None.
 
-    The candidate split is read off the maximal proper cyclic flats (at
-    most two; a missing second side means the leftover elements formed a
-    free summand).  Truncating U(r1, F1) + U(r2, F2) depth times gives the
-    presentation {F1: r1, F2: r2, E: r}, so the split is confirmed by
-    expanding that presentation and comparing it with m exactly.
+    Cyclic flats fix the rank: r(X) = min over them of r(Z) + |X - Z|
+    (Bonin and de Mier).  When the proper nonempty ones are F1, F2
+    partitioning E, that is the rank of {F1: r1, F2: r2, E: r}.  In
+    T^k(U(r1, F1) + U(r2, F2)) they lie among F1 and F2, as a cyclic flat
+    holding an (r+1)-set spans; with one missing they form a chain.
     """
     whole = frozenset(m.elements)
     proper = [f for f in m.cyclic_flats() if f and f != whole]
-    maximal = [f for f in proper if not any(f < g for g in proper)]
-    if not 1 <= len(maximal) <= 2:
+    if len(proper) != 2 or proper[0] & proper[1] or proper[0] | proper[1] != whole:
         return None
-    if len(maximal) == 2:
-        f1, f2 = maximal
-        if f1 & f2 or (f1 | f2) != whole:
-            return None
-    else:
-        f1 = maximal[0]
-        f2 = whole - f1
-    r1, r2 = m.rank(f1), m.rank(f2)
-    sides = [(f1, r1), (f2, r2), (whole, m.rank())]
-    if LaminarPresentation(m.ground, sides).to_explicit(m.n) != m:
-        return None
-    return ((f1, r1), (f2, r2), r1 + r2 - m.rank())
+    r1, r2 = (m.rank(f) for f in proper)
+    return ((proper[0], r1), (proper[1], r2), r1 + r2 - m.rank())
 
 
 def _component_shape(m, block, max_n):

@@ -3,14 +3,15 @@
 Everything here works from first definitions on tiny inputs: powerset
 scans, permutation search, no library internals, and no bitmasks except
 in laminar_circuit_masks, minimal_sets and first_bijection.  Slow on
-purpose; keep n small.  Six helpers are exceptions.  forest_deconstruct
+purpose; keep n small.  Seven helpers are exceptions.  forest_deconstruct
 rebuilds deconstruct's script from the circuits; explicit_deconstruct,
-closure_evidence and search_excluded_minor_witness keep computations the
-library no longer makes (explicit_deconstruct is the old four-case
-script, kept to pin that nested matroids still get it and no script got
-longer); and greedy_excluded_minor reduces a host to a minimal
-non-laminar minor.  These five are built from the library's public
-calls.  reference_find_minor is the minor search as it ran before
+closure_evidence, pair_by_expansion and search_excluded_minor_witness
+keep computations the library no longer makes (explicit_deconstruct is
+the old four-case script, kept to pin that nested matroids still get it
+and no script got longer; pair_by_expansion is the old pair test, which
+expanded a guessed split's circuits); and greedy_excluded_minor reduces
+a host to a minimal non-laminar minor.  These six are built from the
+library's public calls.  reference_find_minor is the minor search as it ran before
 contractions read their circuits off the dependent sets.
 """
 
@@ -493,3 +494,30 @@ def forest_deconstruct(m):
     coloops = frozenset(m.elements) - loops - frozenset().union(*members)
     result = grow(name, rank, coloops, rank + len(coloops))
     return tuple(steps), result
+
+
+def pair_by_expansion(m):
+    """((F1, r1), (F2, r2), depth) when m is a truncated direct sum of two
+    uniform matroids, found as _pair_shape found it before it read the
+    shape off the cyclic flats, else None.
+
+    The split is guessed from the maximal proper cyclic flats (with only
+    one, its complement is the other side) and confirmed by expanding
+    the circuits of {F1: r1, F2: r2, E: r} and comparing them with m.
+    """
+    from laminarmatroids import LaminarPresentation
+
+    whole = frozenset(m.elements)
+    proper = [f for f in m.cyclic_flats() if f and f != whole]
+    maximal = [f for f in proper if not any(f < g for g in proper)]
+    if not 1 <= len(maximal) <= 2:
+        return None
+    f1 = maximal[0]
+    f2 = maximal[1] if len(maximal) == 2 else whole - f1
+    if f1 & f2 or f1 | f2 != whole:
+        return None
+    r1, r2 = m.rank(f1), m.rank(f2)
+    sides = [(f1, r1), (f2, r2), (whole, m.rank())]
+    if LaminarPresentation(m.ground, sides).to_explicit(m.n) != m:
+        return None
+    return ((f1, r1), (f2, r2), r1 + r2 - m.rank())

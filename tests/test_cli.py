@@ -280,6 +280,31 @@ class TestSizeCap:
         code, out, _ = run(capsys, "witness", path, "--max-n", "16")
         assert (code, out) == (1, "witness: none\n")
 
+    def test_classify_reads_a_pair_at_the_hard_cap(self, files, capsys):
+        # T(U(4,8) + U(5,8)): 16 elements, 4 004 circuits, one pair block
+        path = files("pair16.ckt", render_ckt(direct_sum(uniform(4, 8), uniform(5, 8)).truncate()))
+        code, out, _ = run(capsys, "classify", path, "--max-n", "16")
+        left = "{" + ",".join(f"e{i}" for i in range(1, 9)) + "}"
+        right = "{" + ",".join(f"e{i}'" for i in range(1, 9)) + "}"
+        whole = left[:-1] + "," + right[1:]
+        assert code == 0
+        assert out.splitlines() == [
+            "nested: no",
+            f"  incomparable {left} {right}",
+            "laminar: yes",
+            f"  cap {whole} 8",
+            f"  cap {left} 4",
+            f"  cap {right} 5",
+            "dual-laminar: yes",
+            f"  component {whole}: pair sides {left}:4 {right}:5 depth 1",
+            "binary-laminar: no",
+            "  minor uniform(2,4) delete {e3',e4',e5,e6,e7,e8} contract"
+            " {e1,e1',e2,e2',e3,e4} map e5'->e1,e6'->e2,e7'->e3,e8'->e4",
+            "ternary-laminar: no",
+            "  minor uniform(2,5) delete {e3',e5,e6,e7,e8} contract"
+            " {e1,e1',e2,e2',e3,e4} map e4'->e1,e5'->e2,e6'->e3,e7'->e4,e8'->e5",
+        ]
+
     def test_dense_sixteen_element_ckt_failing_elimination_exits_2(self, files, capsys):
         lines = render_ckt(uniform(8, 16)).splitlines()
         ground, circuits = lines[0], lines[1:-1]  # the last line is "rank 8"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from _corpus import random_laminar_presentation, random_script
 from laminarmatroids import (
     ConstructionScript,
+    LaminarPresentation,
     MatroidError,
     ParseError,
     TooLarge,
@@ -55,6 +56,11 @@ class TestCkt:
     def test_render_deterministic(self):
         m = excluded_minor(3)
         assert render_ckt(m) == render_ckt(m)
+
+    def test_render_refuses_a_name_the_parser_reads_otherwise(self):
+        # `#` starts a comment, so "b#c" would parse back as "b"
+        with pytest.raises(ParseError, match="identifier 'b#c'"):
+            render_ckt(uniform(1, 3, ("a", "b#c", "d e")))
 
     def test_spaces_inside_sets(self):
         m = parse_ckt("ground a b c\ncircuit {a, b, c}\n")
@@ -129,6 +135,11 @@ class TestLam:
         lines = render_lam(p).splitlines()
         assert lines[1:] == ["cap {a,b} 1", "cap {c,d} 1"]
 
+    def test_render_refuses_a_name_the_parser_reads_otherwise(self):
+        # "a b" would parse back as the two elements a and b
+        with pytest.raises(ParseError, match="identifier 'a b'"):
+            render_lam(LaminarPresentation(["a b", "c"], {}))
+
     def test_bad_capacity(self):
         # superscript one and Arabic-Indic three are digits to str.isdigit
         # 5000 digits exceed what int() converts from a string
@@ -179,6 +190,17 @@ class TestMbs:
     def test_deconstruct_output_parses(self):
         s = deconstruct(canonical_from_matroid(uniform(2, 4)))
         assert parse_mbs(render_mbs(s)) == s
+
+    def test_render_refuses_a_name_the_parser_reads_otherwise(self):
+        bad_name = (("empty", "m 1"),)
+        bad_operand = (("empty", "m1"), ("coloop", "m2", "m1", "a#b"))
+        for steps, result, name in (
+            (bad_name, "m 1", "m 1"),
+            (bad_operand, "m2", "a#b"),
+            ((("empty", "m1"),), "", ""),
+        ):
+            with pytest.raises(ParseError, match=f"identifier '{name}'"):
+                render_mbs(ConstructionScript(steps=steps, result=result))
 
     def test_render_rejects_malformed_steps(self):
         for step in (("coloop", "x", "a"), ("truncate", "t", "a", "b"), ("empty",)):

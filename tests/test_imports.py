@@ -1,8 +1,9 @@
 """Every module-level import and definition in the package is used.
 
 An ast walk stands in for a linter: a name bound by a top-level import
-must be read somewhere in its module.  `__init__.py` and `_backend.py`
-are skipped, since their imports are the package's re-exports.  A
+must be read somewhere in its module, in the package and under `tests/`
+alike.  `__init__.py` and `_backend.py` are skipped, since their imports
+are the package's re-exports.  A
 second walk finds dead helpers: every module-level function, class or
 constant must be named somewhere in the package outside its own
 definition, as a name, an attribute (`K._indices`) or an import.  The
@@ -23,7 +24,7 @@ SOURCES = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
 TEST_SOURCES = {p.name: p.read_text() for p in sorted(TESTS.glob("*.py"))}
 MODULES = sorted(
     p for p in PACKAGE.glob("*.py") if p.name not in ("__init__.py", "_backend.py")
-)
+) + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source):
@@ -47,7 +48,9 @@ def test_the_walk_finds_unused_names():
     assert unused_imports(source) == [(2, "regex"), (3, "a")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES, ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}"
+)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from laminarmatroids import (
     NotLaminar,
     RankZero,
     TooLarge,
+    binary_component,
     canonical_from_matroid,
     canonicalize,
     circuit,
@@ -470,6 +472,44 @@ class TestParallelExtend:
             loopy.parallel_extend("a", "c")
 
 
+    def test_the_clone_is_its_own_canonical_form(self):
+        # each clone is cloned again, so both branches run: a new
+        # parallel pair, and a capacity-1 member that grows
+        rng = random.Random(1)
+        clones = grown = 0
+        for _ in range(500):
+            c = canonicalize(random_laminar_presentation(rng, n_max=9))
+            for e in sorted(set(c.elements) - c.loop_set):
+                q = c.parallel_extend(e, "f")
+                r = q.parallel_extend("f", "g")
+                for before, after in ((c, q), (q, r)):
+                    assert isinstance(after, CanonicalPresentation)
+                    assert canonicalize(after) == after
+                    grown += len(after.members) == len(before.members)
+                clones += 2
+        assert (clones, grown) == (3826, 2294)
+
+    def test_binary_component_matches_the_recanonicalizing_loop(self):
+        def rebuilt(n, plan):
+            pres = canonical_from_matroid(circuit(n))
+            for k, b in enumerate(plan, n + 1):
+                pres = canonicalize(pres.parallel_extend(b, f"e{k}"))
+            return pres.to_explicit()
+
+        for n in range(1, 6):
+            base = [f"e{i}" for i in range(1, n + 1)]
+            for size in range(4):
+                for plan in product(base, repeat=size):
+                    if n == 1 and plan:
+                        # circuit(1) is a loop, which has no parallel clone
+                        with pytest.raises(LoopBase):
+                            binary_component(n, plan)
+                        with pytest.raises(LoopBase):
+                            rebuilt(n, plan)
+                        continue
+                    assert binary_component(n, plan) == rebuilt(n, plan)
+
+
 class TestMaxWeight:
     def test_worked_example(self):
         sol = CHAIN.max_weight_independent({"a": 5, "b": 4, "c": 3, "d": 1})
@@ -548,7 +588,7 @@ class TestMaskBuilders:
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10**9))
-    def test_canonical_parallel_extend_and_restrict(self, seed):
+    def test_canonical_parallel_extend(self, seed):
         rng = random.Random(seed)
         c = canonicalize(random_laminar_presentation(rng, n_max=8))
         items = list(members_with_caps(c).items())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -11,7 +12,6 @@ from _corpus import full_corpus, named_corpus, non_laminar_hosts, random_script
 from laminarmatroids import (
     MatroidError,
     NotLaminar,
-    build_matroid,
     canonical_from_matroid,
     circuit,
     classify,
@@ -30,6 +30,7 @@ from laminarmatroids import (
     uniform,
 )
 from laminarmatroids.matroid import apply_witness, has_minor
+from laminarmatroids.recognize import _pair_shape
 
 EM3 = excluded_minor(3)
 U24 = uniform(2, 4, ("a", "b", "c", "d"))
@@ -214,6 +215,60 @@ class TestDualLaminar:
             v = classify_dual_laminar(m)
             structural = all(s.kind != "none" for s in v.components)
             assert structural == bool(is_laminar(m.dual()))
+
+
+class TestPairShape:
+    """_pair_shape reads a block's pair shape off its cyclic flats; the
+    oracle guesses the split and confirms it by expanding circuits."""
+
+    @staticmethod
+    def uniform_pair_truncations(n_max):
+        """T^k(U(a, b) + U(c, d)) for b + d <= n_max, every k down to rank 1."""
+        for b in range(1, n_max):
+            for d in range(1, n_max + 1 - b):
+                for a, c in product(range(b + 1), range(d + 1)):
+                    m = direct_sum(uniform(a, b), uniform(c, d))
+                    while m.rank() > 1:
+                        m = m.truncate()
+                        yield m
+
+    @staticmethod
+    def truncated_sums(rng, count):
+        """Direct sums of two small named hosts, truncated 1-3 times."""
+        small = [m for m in named_corpus() if 1 <= m.n <= 6]
+        for _ in range(count):
+            m = direct_sum(rng.choice(small), rng.choice(small))
+            for _ in range(rng.randint(1, 3)):
+                if m.rank():
+                    m = m.truncate()
+            yield m
+
+    def test_matches_the_expansion_on_every_non_nested_block(self):
+        sources = {
+            "full_corpus": full_corpus(random.Random(7), 300, n_cap=10),
+            "non_laminar_hosts": non_laminar_hosts(random.Random(7), 40),
+            "uniform_pairs": self.uniform_pair_truncations(10),
+            "truncated_sums": self.truncated_sums(random.Random(11), 1000),
+        }
+        counts = {}
+        for label, hosts in sources.items():
+            blocks = pairs = 0
+            for m in hosts:
+                for block in m.components():
+                    sub = m.restrict(block)
+                    if is_nested(sub, 16):
+                        continue
+                    shape = _pair_shape(sub)
+                    assert shape == oracle.pair_by_expansion(sub)
+                    blocks += 1
+                    pairs += shape is not None
+            counts[label] = (blocks, pairs)
+        assert counts == {
+            "full_corpus": (49, 6),
+            "non_laminar_hosts": (40, 0),
+            "uniform_pairs": (86, 86),
+            "truncated_sums": (462, 44),
+        }
 
 
 class TestBinaryTernary:
