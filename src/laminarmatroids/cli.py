@@ -8,6 +8,7 @@ bounds every exhaustive computation; 16 is the absolute limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -185,10 +186,13 @@ def cmd_maxweight(args):
         if "=" not in part:
             raise UsageError(f"weights look like a=5, got {part!r}")
         name, _, value = part.partition("=")
+        name = name.strip()
+        if name in weights:
+            raise UsageError(f"weight for {name!r} given twice")
         if not _WEIGHT.match(value.strip()):
             raise UsageError(f"bad weight value {value!r}")
         try:
-            weights[name.strip()] = Fraction(value.strip())
+            weights[name] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):  # 1.5/2, 1/0
             raise UsageError(f"bad weight value {value!r}") from None
     chosen = p.max_weight_independent(weights)
@@ -197,7 +201,17 @@ def cmd_maxweight(args):
     return EXIT_TRUE
 
 
+@functools.cache
 def build_parser():
+    """The `laminar` argument parser, built on the first call and shared after.
+
+    Building it takes about a millisecond, parsing a call tens of
+    microseconds, so a process that calls `main` many times builds it once
+    (importing this module builds none).  `parse_args` returns a fresh
+    Namespace, so no call's options reach the next.  Callers must not
+    mutate the returned parser.  Each subcommand's `func` is bound here, so
+    a `cmd_*` name rebound after the first call is not seen.
+    """
     parser = argparse.ArgumentParser(
         prog="laminar",
         description="Laminar matroid toolkit: presentations, recognition, constructions.",

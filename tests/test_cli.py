@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
+import os
+import subprocess
+import sys
+
 import pytest
 
+import laminarmatroids
 from laminarmatroids import direct_sum, excluded_minor, uniform
 from laminarmatroids.cli import main
 from laminarmatroids.formats import render_ckt
@@ -246,6 +252,12 @@ class TestMaxWeight:
             assert (code, out) == (2, "")
             assert "bad weight value" in err
 
+    @pytest.mark.parametrize("weights", ["a=1,b=2,a=3", "a=1, a =2"])
+    def test_repeated_weight_exit_2(self, files, capsys, weights):
+        code, out, err = run(capsys, "maxweight", files("t.lam", CHAIN_LAM), "-w", weights)
+        assert (code, out) == (2, "")
+        assert err == "error: weight for 'a' given twice\n"
+
 
 class TestSizeCap:
     def test_max_n_exceeded_exit_3(self, files, capsys):
@@ -323,3 +335,73 @@ class TestDeterminism:
             _, out, _ = run(capsys, "classify", path)
             outs.add(out)
         assert len(outs) == 1
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(laminarmatroids.__file__)))
+# Help text wraps to $COLUMNS, so both sides get the same width.
+ENV = {**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80"}
+# Source, so that a fresh interpreter can install it before any import.
+COUNTING = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+"""
+
+
+def run_caught(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # usage errors and --help
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+class TestParserBuiltOnce:
+    def test_calls_in_one_process_match_fresh_processes(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        path = files("u24.ckt", U24_CKT)
+        calls = [
+            ["minor", path, "--delete", "a"],
+            ["minor", path],
+            ["minor", path, "--contract", "b"],
+            ["minor", path],
+            ["minor", path, "--frobnicate"],
+            ["minor", path],
+            ["--help"],
+            ["minor", path],
+            ["minor", path, "--max-n", "-1"],
+            ["minor", path],
+        ]
+        for argv in calls:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "laminarmatroids.cli", *argv],
+                capture_output=True, text=True, env=ENV, check=False,
+            )
+            got = run_caught(capsys, argv)
+            assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+    def test_main_builds_no_parser_after_the_first_call(self, files, capsys, monkeypatch):
+        path = files("u24.ckt", U24_CKT)
+        run(capsys, "minor", path)
+        counter = {}
+        exec(COUNTING, counter)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counter["counting"])
+        assert run(capsys, "minor", path, "--delete", "a")[0] == 0
+        assert run(capsys, "validate", path, "--max-n", "16")[0] == 0
+        assert run_caught(capsys, ["minor", path, "--frobnicate"])[0] == 2
+        assert counter["built"] == []
+
+    def test_import_builds_no_parser(self):
+        code = COUNTING + (
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import laminarmatroids.cli\n"
+            "print(len(built))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=ENV, check=True
+        )
+        assert out.stdout == "0\n"
