@@ -49,16 +49,15 @@ def workloads():
         blocks = direct_sum(blocks, uniform(1, 2))
 
     c1, n1, r1 = masks_of(host1)
-    dep1 = host1._dependents()
+    dep1, spans1 = host1._dependents(), host1._spanning()
     nb = blocks.n
     dep_b, closures_b = blocks._dependents(), blocks._circuit_closures()
     c2, n2, r2 = masks_of(host2)
-    dep2 = host2._dependents()
+    dep2, spans2 = host2._dependents(), host2._spanning()
     cem3, nem3, rem3 = masks_of(em3)
     cem4, nem4, rem4 = masks_of(em4)
     c511, n511, r511 = masks_of(u511)
-    c410, n410, r410 = masks_of(u410)
-    dep410 = u410._dependents()
+    n410, spans410 = u410.n, u410._spanning()
     c816, n816, r816 = masks_of(u816)
     dep816 = u816._dependents()
     c715c, n715c, _ = masks_of(u715c)
@@ -79,11 +78,11 @@ def workloads():
     return [
         (
             "find_minor hit  (n=11 host, rank-3 excluded minor)",
-            lambda k: k.find_minor(dep1, n1, c1, r1, nem3, cem3, rem3),
+            lambda k: k.find_minor(dep1, spans1, n1, c1, r1, nem3, cem3, rem3),
         ),
         (
             "find_minor miss (n=11 host, rank-4 excluded minor)",
-            lambda k: k.find_minor(dep2, n2, c2, r2, nem4, cem4, rem4),
+            lambda k: k.find_minor(dep2, spans2, n2, c2, r2, nem4, cem4, rem4),
         ),
         (
             "verify_elimination (462 circuits, n=11)",
@@ -91,7 +90,7 @@ def workloads():
         ),
         (
             "cocircuit_masks (uniform rank 4 on 10)",
-            lambda k: k.cocircuit_masks(n410, dep410, r410),
+            lambda k: k.cocircuit_masks(n410, spans410),
         ),
         (
             "truncation_circuits (11440 circuits, n=16)",

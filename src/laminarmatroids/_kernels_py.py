@@ -170,6 +170,12 @@ def dependents(circuits, n):
     return _bytes(_dependent_bitmap(circuits, n), n)
 
 
+def spanning(dep, n):
+    """R_r, the spanning masks of a rank-r matroid on n elements, as one
+    0/1 byte per mask, read off `dep`, D as dependents gives it."""
+    return _bytes(_at_least(~_bitmap(dep), greedy_rank(dep, (1 << n) - 1), n), n)
+
+
 def check_circuits(circuits, n):
     """(D, None) when distinct nonempty masks on n elements are a matroid's
     circuits, D as dependents gives it; else (None, violation).
@@ -248,16 +254,16 @@ def verify_elimination(circuits, n):
     return None
 
 
-def cocircuit_masks(n, dep, rank):
+def cocircuit_masks(n, spans):
     """Circuits of the dual, smallest first, then ascending numeric order.
 
     Each is the complement of a hyperplane: a mask that does not span but
     spans once grown by any one element outside it (Oxley, *Matroid
-    Theory*, 2nd ed., Ch. 2), read off the spanning bitmap R_rank, built
-    from `dep`, D as dependents gives it.
+    Theory*, 2nd ed., Ch. 2), read off the spanning bytes `spans`, R_rank
+    as spanning gives it.
     """
     notbit, _ = _tables(n)
-    spans = _at_least(~_bitmap(dep), rank, n)
+    spans = _bitmap(spans)
     hyper = ((1 << (1 << n)) - 1) & ~spans
     for e, nb in enumerate(notbit):
         hyper &= ~nb | spans >> (1 << e)
@@ -385,9 +391,10 @@ def iso_bijection(n1, circuits1, n2, circuits2):
     return None
 
 
-def find_minor(dep, n, circuits, rank, n_target, circuits_target, rank_target):
+def find_minor(dep, spans, n, circuits, rank, n_target, circuits_target, rank_target):
     """First (delete_mask, contract_mask, bijection) presenting the target
-    as a minor of the host with dependent-set bytes `dep`, or None.
+    as a minor of the host with dependent-set bytes `dep` and spanning-set
+    bytes `spans` (as dependents and spanning give them), or None.
 
     Contract sets T are independent, delete sets D are coindependent (E
     minus D spans); any minor admits such a representation.  T ascends over
@@ -400,7 +407,6 @@ def find_minor(dep, n, circuits, rank, n_target, circuits_target, rank_target):
     if t < 0 or d < 0:
         return None
     full = (1 << n) - 1
-    spans = _bytes(_at_least(~_bitmap(dep), rank, n), n)
     target_sizes = sorted(c.bit_count() for c in circuits_target)
     for tm in submasks_of_size(full, t):
         if dep[tm]:

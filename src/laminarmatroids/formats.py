@@ -5,6 +5,14 @@ Lines may carry `#` comments; identifiers match [A-Za-z0-9_']+; element
 sets print as {a,b,c} in ground order.  Rendering is deterministic:
 circuit families print lexicographically, presentation members print
 parent before child with siblings in lexicographic order.
+
+Valid .ckt text takes a bulk path: one regex per line and one name->bit
+dict built from the ground line, with the masks handed straight to the
+matroid's validation.  Anything that path cannot read (an unknown
+directive, a name outside the ground, a second or over-long rank line, a
+duplicate or oversized ground) falls through to the line parser, which
+alone names parse errors, so every error keeps its class, message and
+line number.
 """
 
 from __future__ import annotations
@@ -13,13 +21,15 @@ import re
 
 from .constructions import _MBS_ARITY, ConstructionScript, _check_step
 from .errors import ParseError
-from .matroid import HARD_CAP, build_matroid
+from .matroid import HARD_CAP, GroundSet, _validated, build_matroid
 from .presentation import LaminarPresentation
 
 IDENT = re.compile(r"[A-Za-z0-9_']+\Z")
 _SET = re.compile(r"\{([^{}]*)\}\Z")
 _TOKEN = re.compile(r"\{[^{}]*\}|[^\s{}]+")
 _NATURAL = re.compile(r"[0-9]+\Z")
+# a circuit line's set body, or a rank line short enough for int()
+_CKT_LINE = re.compile(r"circuit\s*\{([^{}]*)\}\Z|rank\s+([0-9]{1,4})\Z")
 
 
 def _significant_lines(text):
@@ -89,7 +99,56 @@ def _render_mask(ground, mask):
 
 
 def parse_ckt(text, max_n=HARD_CAP):
-    """Parse an explicit matroid; an optional single rank line is checked."""
+    """Parse an explicit matroid; an optional single rank line is checked.
+
+    Valid text takes the bulk path; anything else falls through to the
+    line parser, which names the error.
+    """
+    m = _parse_ckt_bulk(text, max_n)
+    return _parse_ckt_lines(text, max_n) if m is None else m
+
+
+def _parse_ckt_bulk(text, max_n):
+    """The matroid, read with one _CKT_LINE match per line and one dict
+    lookup per name, or None where the line parser must name an error.
+
+    The ground line is read as the line parser reads it, so its names
+    have passed _parse_ident, and a parse error there is the one the line
+    parser would raise first.  Anything the matroid would refuse before
+    validation (a duplicate or oversized ground, a name outside it, an
+    empty circuit) returns None, since a later line's ParseError comes
+    first.
+    """
+    lines = _significant_lines(text)
+    ground = _parse_ground(*lines[0])
+    bit = {e: 1 << i for i, e in enumerate(ground)}
+    if len(bit) != len(ground) or len(ground) > min(max_n, HARD_CAP):
+        return None
+    masks = set()
+    asserted_rank = None
+    for lineno, line in lines[1:]:
+        found = _CKT_LINE.match(line)
+        if found is None:
+            return None
+        body, digits = found.groups()
+        if digits is not None:
+            if asserted_rank is not None:
+                return None
+            asserted_rank = (int(digits), lineno)
+            continue
+        mask = 0
+        for name in body.split(","):
+            b = bit.get(name.strip())
+            if b is None:
+                return None
+            mask |= b
+        masks.add(mask)
+    return _check_rank(_validated(GroundSet(ground), masks), asserted_rank)
+
+
+def _parse_ckt_lines(text, max_n=HARD_CAP):
+    """The line parser: each line tokenized and checked in turn, so the
+    first bad line names the error."""
     lines = _significant_lines(text)
     ground = _parse_ground(*lines[0])
     circuits = []
@@ -108,7 +167,11 @@ def parse_ckt(text, max_n=HARD_CAP):
             asserted_rank = (_parse_natural(parts[1], lineno, "rank takes one integer"), lineno)
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
-    m = build_matroid(ground, circuits, max_n=max_n)
+    return _check_rank(build_matroid(ground, circuits, max_n=max_n), asserted_rank)
+
+
+def _check_rank(m, asserted_rank):
+    """m, once the (rank, line number) a rank line asserted, if any, holds."""
     if asserted_rank is not None and asserted_rank[0] != m.rank():
         raise ParseError(
             f"rank line says {asserted_rank[0]}, matroid has rank {m.rank()}",

@@ -8,7 +8,8 @@ elements; construction decides the circuit axioms on one bitmap of the
 2**n subsets, names a violating pair from that test when they fail, and
 keeps the bitmap.  Each matroid holds its dependent sets as one byte per
 subset, kept from validation or built on first use; rank, independence,
-closure and minors read it.  Element names are decoded only at the API;
+closure and minors read it.  Its spanning sets, built from those on first
+use, serve every minor search and the dual.  Element names are decoded only at the API;
 minors renumber circuit masks onto the kept elements with compress.
 """
 
@@ -104,7 +105,7 @@ class ExplicitMatroid:
     construct one with full axiom validation.
     """
 
-    __slots__ = ("ground", "_masks", "_dep", "_cyclic_flats", "_closures")
+    __slots__ = ("ground", "_masks", "_dep", "_spans", "_cyclic_flats", "_closures")
 
     def __init__(self, ground, masks, _trusted=False):
         if not _trusted:
@@ -112,6 +113,7 @@ class ExplicitMatroid:
         self.ground = ground
         self._masks = _sort_masks(masks)
         self._dep = None
+        self._spans = None
         self._cyclic_flats = None
         self._closures = None
 
@@ -152,6 +154,12 @@ class ExplicitMatroid:
         if self._dep is None:
             self._dep = K.dependents(self._masks, self.n)
         return self._dep
+
+    def _spanning(self):
+        """Spanning sets, one 0/1 byte per subset mask; computed once."""
+        if self._spans is None:
+            self._spans = K.spanning(self._dependents(), self.n)
+        return self._spans
 
     def is_independent(self, items):
         return not self._dependents()[self.ground.mask_of(items)]
@@ -197,7 +205,7 @@ class ExplicitMatroid:
     # -- derived matroids ------------------------------------------------
 
     def dual(self):
-        masks = K.cocircuit_masks(self.n, self._dependents(), self.rank())
+        masks = K.cocircuit_masks(self.n, self._spanning())
         return ExplicitMatroid._from_masks(self.ground, masks)
 
     def minor(self, delete=(), contract=()):
@@ -288,6 +296,12 @@ def build_matroid(ground, circuits, max_n=HARD_CAP):
         if m == 0:
             raise MatroidError("the empty set cannot be a circuit")
         masks.add(m)
+    return _validated(gs, masks)
+
+
+def _validated(gs, masks):
+    """The matroid on GroundSet gs whose circuits are the distinct nonempty
+    `masks`, once check_circuits accepts them; else the axiom error."""
     out = ExplicitMatroid._from_masks(gs, masks)
     out._dep, bad = K.check_circuits(out._masks, len(gs))
     if bad is None:
@@ -396,10 +410,12 @@ def has_minor(m, target):
     Only pairs (delete, contract) with an independent contract set and a
     coindependent delete set are tried (every minor admits one); pairs
     are scanned in ascending bit-pattern order and the first isomorphism
-    found is returned.  The search reads m's stored dependent sets.
+    found is returned.  The search reads m's stored dependent and spanning
+    sets.
     """
     res = K.find_minor(
-        m._dependents(), m.n, m._masks, m.rank(), target.n, target._masks, target.rank()
+        m._dependents(), m._spanning(), m.n, m._masks, m.rank(),
+        target.n, target._masks, target.rank(),
     )
     if res is None:
         return None

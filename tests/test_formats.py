@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _corpus import random_laminar_presentation, random_script
+from _corpus import named_corpus, random_laminar_presentation, random_script
 from laminarmatroids import (
+    HARD_CAP,
     ConstructionScript,
+    ForeignElement,
     LaminarPresentation,
     MatroidError,
     ParseError,
@@ -23,6 +25,8 @@ from laminarmatroids import (
     uniform,
 )
 from laminarmatroids.formats import (
+    _parse_ckt_bulk,
+    _parse_ckt_lines,
     parse_ckt,
     parse_lam,
     parse_mbs,
@@ -111,6 +115,129 @@ class TestCkt:
         text = "ground " + " ".join(f"x{i}" for i in range(13)) + "\n"
         with pytest.raises(TooLarge):
             parse_ckt(text, max_n=12)
+
+
+class TestCktErrorOrder:
+    """A line's ParseError comes before anything the matroid refuses, and
+    the bulk path hands every refusal to the line parser."""
+
+    def test_parse_error_before_too_large(self):
+        ground = " ".join(f"x{i}" for i in range(14))
+        text = f"ground {ground}\ncircuit {{x0,x1}}\nrank 1\n\ncircuit {{x2\n"
+        with pytest.raises(ParseError, match="expected a set") as e:
+            parse_ckt(text, max_n=12)
+        assert e.value.line == 5
+
+    def test_later_parse_error_before_foreign_element(self):
+        text = "ground a b c\ncircuit {a,z}\ncircuit {b,c}\nbasis {a}\n"
+        with pytest.raises(ParseError, match="unknown directive 'basis'") as e:
+            parse_ckt(text)
+        assert e.value.line == 4
+        # alone, the foreign name is the matroid's error
+        with pytest.raises(ForeignElement, match="'z'"):
+            parse_ckt("ground a b c\ncircuit {a,z}\n")
+
+    def test_empty_name(self):
+        with pytest.raises(ParseError, match="bad identifier ''") as e:
+            parse_ckt("ground a b c\ncircuit {a,,b}\n")
+        assert e.value.line == 2
+
+    def test_empty_circuit(self):
+        for body in ("{ }", "{}"):
+            with pytest.raises(MatroidError, match="empty set cannot be a circuit"):
+                parse_ckt(f"ground a b c\ncircuit {body}\n")
+
+    def test_rank_with_leading_zeros(self):
+        m = parse_ckt("ground a b c\ncircuit {a,b,c}\nrank 00002\n")
+        assert m == uniform(2, 3, ("a", "b", "c"))
+        with pytest.raises(ParseError, match="rank line says 3") as e:
+            parse_ckt("ground a b c\ncircuit {a,b,c}\nrank 00003\n")
+        assert e.value.line == 3
+
+    def test_duplicate_ground_name(self):
+        with pytest.raises(MatroidError, match="duplicate element 'a'"):
+            parse_ckt("ground a b a\ncircuit {a,b}\n")
+        # a bad line still comes first
+        with pytest.raises(ParseError) as e:
+            parse_ckt("ground a b a\ncircuit {a,b}\nrank x\n")
+        assert e.value.line == 3
+
+
+def _outcome(parse, text, max_n):
+    """The parsed matroid, or the class and text of the error raised."""
+    try:
+        return parse(text, max_n)
+    except MatroidError as e:
+        return type(e), str(e)
+
+
+def _spaced(rng, names):
+    pad = ("", " ", "  ", "\t")
+    return ",".join(rng.choice(pad) + e + rng.choice(pad) for e in names)
+
+
+def _ckt_text(rng, m):
+    """m as .ckt text, written as a person might: names shuffled and padded,
+    `circuit{` with or without a space, lines shuffled, comments and blank
+    lines between them, and a rank line or none."""
+    lines = []
+    for c in m.circuits:
+        names = sorted(c)
+        rng.shuffle(names)
+        lines.append("circuit" + rng.choice(("", " ", "  ")) + "{" + _spaced(rng, names) + "}")
+    if rng.random() < 0.5:
+        lines.append(f"rank {m.rank()}")
+    lines += ["", "# note", "  "][: rng.randrange(4)]
+    rng.shuffle(lines)
+    return "\n".join(["ground " + " ".join(m.elements), *lines]) + "\n"
+
+
+def _mutated(rng, text, elements):
+    """text with one random slip: a character dropped or doubled, a name
+    swapped for a foreign or empty one, a second rank line, or a ground
+    name repeated."""
+    kind = rng.randrange(5)
+    if kind < 2 and text:
+        i = rng.randrange(len(text))
+        return text[:i] + text[i : i + 1] * kind + text[i + 1 :]
+    if kind == 2 and elements and "{" in text:
+        name = rng.choice(elements)
+        at = text.find(name, text.index("{"))
+        if at >= 0:
+            return text[:at] + rng.choice(("zz", "", "a b")) + text[at + len(name) :]
+    if kind == 3:
+        return text + f"rank {rng.randrange(4)}\n"
+    if elements:
+        first, rest = text.split("\n", 1)
+        return f"{first} {rng.choice(elements)}\n{rest}"
+    return text + "}\n"
+
+
+CKT_HOSTS = named_corpus(n_cap=8)
+
+
+def test_bulk_path_matches_the_line_parser_on_valid_text():
+    rng = random.Random(46)
+    for m in CKT_HOSTS:
+        for _ in range(3):
+            text = _ckt_text(rng, m)
+            # valid text never falls through to the line parser
+            assert _parse_ckt_bulk(text, HARD_CAP) == m
+            assert parse_ckt(text) == m == _parse_ckt_lines(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_bulk_path_matches_the_line_parser_on_mutated_text(seed):
+    """Same matroid, or same error class and text (line number included),
+    as the line parser, also at a cap just under or at the ground's size."""
+    rng = random.Random(seed)
+    m = rng.choice(CKT_HOSTS)
+    text = _ckt_text(rng, m)
+    for _ in range(rng.randint(1, 3)):
+        text = _mutated(rng, text, m.elements)
+    for max_n in (m.n - 1, m.n, HARD_CAP):
+        assert _outcome(parse_ckt, text, max_n) == _outcome(_parse_ckt_lines, text, max_n)
 
 
 class TestLam:

@@ -268,9 +268,11 @@ def test_matroid_kernels_agree_with_brute_force():
         elements, circuits = index_form(m)
         indep = oracle.independent_from_circuits(circuits)
         dep = K.dependents(cs, n)
+        spans = K.spanning(dep, n)
         for x in range(1 << n):
             assert dep[x] == (not indep(bits(x)))
             assert K.greedy_rank(dep, x) == oracle.brute_rank(indep, bits(x))
+            assert spans[x] == (oracle.brute_rank(indep, bits(x)) == r)
             assert bits(K.closure_mask(dep, x, n)) == oracle.brute_closure(
                 elements, indep, bits(x)
             )
@@ -286,7 +288,7 @@ def test_matroid_kernels_agree_with_brute_force():
             assert K.verify_elimination(fewer, n) == oracle.first_elimination_failure(
                 [bits(c) for c in fewer]
             )
-        assert K.cocircuit_masks(n, dep, r) == sorted(
+        assert K.cocircuit_masks(n, spans) == sorted(
             masks(oracle.brute_cocircuits(elements, circuits)),
             key=lambda c: (c.bit_count(), c),
         )
@@ -408,7 +410,8 @@ def test_find_minor_agrees_with_brute_force():
         indep = oracle.independent_from_circuits(circuits)
         for tgt in targets:
             got = K.find_minor(
-                host._dependents(), n, cs, r, tgt.n, list(tgt._masks), tgt.rank()
+                host._dependents(), host._spanning(), n, cs, r,
+                tgt.n, list(tgt._masks), tgt.rank(),
             )
             want = oracle.brute_has_minor(
                 host.elements, host.circuits, tgt.elements, tgt.circuits
