@@ -6,13 +6,10 @@ sets print as {a,b,c} in ground order.  Rendering is deterministic:
 circuit families print lexicographically, presentation members print
 parent before child with siblings in lexicographic order.
 
-Valid .ckt text takes a bulk path: one regex per line and one name->bit
-dict built from the ground line, with the masks handed straight to the
-matroid's validation.  Anything that path cannot read (an unknown
-directive, a name outside the ground, a second or over-long rank line, a
-duplicate or oversized ground) falls through to the line parser, which
-alone names parse errors, so every error keeps its class, message and
-line number.
+.ckt text is read in one pass: one regex match per line and one
+name->bit dict built from the ground line, with the circuit masks handed
+straight to the matroid's validation.  Every non-space character belongs
+to some token, so a stray `{` or `}` is a ParseError, not skipped.
 """
 
 from __future__ import annotations
@@ -21,15 +18,17 @@ import re
 
 from .constructions import _MBS_ARITY, ConstructionScript, _check_step
 from .errors import ParseError
-from .matroid import HARD_CAP, GroundSet, _validated, build_matroid
+from .matroid import HARD_CAP, _capped_ground, _circuit_mask, _validated
 from .presentation import LaminarPresentation
 
 IDENT = re.compile(r"[A-Za-z0-9_']+\Z")
 _SET = re.compile(r"\{([^{}]*)\}\Z")
-_TOKEN = re.compile(r"\{[^{}]*\}|[^\s{}]+")
+# a set (kept together even with internal spaces; unclosed, it runs to
+# the next brace or the end), a lone `}`, or a word
+_TOKEN = re.compile(r"\{[^{}]*\}?|\}|[^\s{}]+")
 _NATURAL = re.compile(r"[0-9]+\Z")
-# a circuit line's set body, or a rank line short enough for int()
-_CKT_LINE = re.compile(r"circuit\s*\{([^{}]*)\}\Z|rank\s+([0-9]{1,4})\Z")
+# a circuit line's set body, or a rank line's digits
+_CKT_LINE = re.compile(r"circuit\s*\{([^{}]*)\}\Z|rank\s+([0-9]+)\Z")
 
 
 def _significant_lines(text):
@@ -40,14 +39,6 @@ def _significant_lines(text):
     if not lines:
         raise ParseError("empty input")
     return lines
-
-
-def _tokens(lineno, line):
-    # keeps {a, b} together even when written with internal spaces
-    parts = _TOKEN.findall(line)
-    if not parts:
-        raise ParseError(f"expected a directive, got {line!r}", lineno)
-    return parts
 
 
 def _parse_ident(tok, lineno):
@@ -69,10 +60,13 @@ def _parse_set(tok, lineno):
     m = _SET.match(tok)
     if not m:
         raise ParseError(f"expected a set like {{a,b}}, got {tok!r}", lineno)
-    body = m.group(1).strip()
-    if not body:
-        return ()
-    return tuple(_parse_ident(p.strip(), lineno) for p in body.split(","))
+    return _set_names(m.group(1), lineno)
+
+
+def _set_names(body, lineno):
+    """The names between a set's braces, each passed by _parse_ident."""
+    body = body.strip()
+    return tuple(_parse_ident(p.strip(), lineno) for p in body.split(",")) if body else ()
 
 
 def _parse_ground(lineno, line):
@@ -99,75 +93,62 @@ def _render_mask(ground, mask):
 
 
 def parse_ckt(text, max_n=HARD_CAP):
-    """Parse an explicit matroid; an optional single rank line is checked.
+    """Parse an explicit matroid in one pass; an optional single rank line
+    is checked.
 
-    Valid text takes the bulk path; anything else falls through to the
-    line parser, which names the error.
-    """
-    m = _parse_ckt_bulk(text, max_n)
-    return _parse_ckt_lines(text, max_n) if m is None else m
-
-
-def _parse_ckt_bulk(text, max_n):
-    """The matroid, read with one _CKT_LINE match per line and one dict
-    lookup per name, or None where the line parser must name an error.
-
-    The ground line is read as the line parser reads it, so its names
-    have passed _parse_ident, and a parse error there is the one the line
-    parser would raise first.  Anything the matroid would refuse before
-    validation (a duplicate or oversized ground, a name outside it, an
-    empty circuit) returns None, since a later line's ParseError comes
-    first.
+    Each line is one _CKT_LINE match and each circuit name one lookup in
+    the ground's {name: bit} dict, so a circuit is a mask once its line is
+    read.  A name the dict lacks is checked by _parse_ident, and the first
+    circuit with a foreign name or none is kept for later.  The first bad
+    line raises its ParseError; then come build_matroid's refusals in its
+    order (a repeated ground name, the size cap, the kept circuit), the
+    circuit axioms, and last the rank line's check.
     """
     lines = _significant_lines(text)
     ground = _parse_ground(*lines[0])
     bit = {e: 1 << i for i, e in enumerate(ground)}
-    if len(bit) != len(ground) or len(ground) > min(max_n, HARD_CAP):
-        return None
-    masks = set()
-    asserted_rank = None
+    masks, refused, asserted_rank = set(), None, None
     for lineno, line in lines[1:]:
         found = _CKT_LINE.match(line)
         if found is None:
-            return None
+            _ckt_line_error(lineno, line, asserted_rank)
         body, digits = found.groups()
         if digits is not None:
             if asserted_rank is not None:
-                return None
-            asserted_rank = (int(digits), lineno)
+                _ckt_line_error(lineno, line, asserted_rank)
+            asserted_rank = (_parse_natural(digits, lineno, "rank takes one integer"), lineno)
             continue
         mask = 0
         for name in body.split(","):
             b = bit.get(name.strip())
-            if b is None:
-                return None
+            if b is None:  # a foreign or malformed name, or an empty set
+                names = _set_names(body, lineno)
+                if refused is None:
+                    refused = names
+                break
             mask |= b
-        masks.add(mask)
-    return _check_rank(_validated(GroundSet(ground), masks), asserted_rank)
-
-
-def _parse_ckt_lines(text, max_n=HARD_CAP):
-    """The line parser: each line tokenized and checked in turn, so the
-    first bad line names the error."""
-    lines = _significant_lines(text)
-    ground = _parse_ground(*lines[0])
-    circuits = []
-    asserted_rank = None
-    for lineno, line in lines[1:]:
-        parts = _tokens(lineno, line)
-        if parts[0] == "circuit":
-            if len(parts) != 2:
-                raise ParseError("circuit takes one set", lineno)
-            circuits.append(_parse_set(parts[1], lineno))
-        elif parts[0] == "rank":
-            if len(parts) != 2:
-                raise ParseError("rank takes one integer", lineno)
-            if asserted_rank is not None:
-                raise ParseError("second rank line", lineno)
-            asserted_rank = (_parse_natural(parts[1], lineno, "rank takes one integer"), lineno)
         else:
-            raise ParseError(f"unknown directive {parts[0]!r}", lineno)
-    return _check_rank(build_matroid(ground, circuits, max_n=max_n), asserted_rank)
+            masks.add(mask)
+    gs = _capped_ground(ground, max_n)
+    if refused is not None:
+        _circuit_mask(gs, refused)
+    return _check_rank(_validated(gs, masks), asserted_rank)
+
+
+def _ckt_line_error(lineno, line, asserted_rank):
+    """Raise the ParseError, as the line's tokens name it, of a line that
+    _CKT_LINE misses (no valid line does) or of a second rank line."""
+    directive, *args = _TOKEN.findall(line)
+    if directive == "circuit":
+        if len(args) == 1:
+            _parse_set(args[0], lineno)  # raises: a whole {...} would match
+        message = "circuit takes one set"
+    elif directive == "rank":
+        second = len(args) == 1 and asserted_rank is not None
+        message = "second rank line" if second else "rank takes one integer"
+    else:
+        message = f"unknown directive {directive!r}"
+    raise ParseError(message, lineno)
 
 
 def _check_rank(m, asserted_rank):
@@ -195,7 +176,7 @@ def parse_lam(text):
     ground = _parse_ground(*lines[0])
     caps = []
     for lineno, line in lines[1:]:
-        parts = _tokens(lineno, line)
+        parts = _TOKEN.findall(line)
         if parts[0] != "cap":
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
         if len(parts) != 3:

@@ -286,17 +286,27 @@ def build_matroid(ground, circuits, max_n=HARD_CAP):
     bitmap decides the axioms and is kept for rank and independence; a
     rejected family is named from the bitmap test that failed.
     """
+    gs = _capped_ground(ground, max_n)
+    return _validated(gs, {_circuit_mask(gs, c) for c in circuits})
+
+
+def _capped_ground(ground, max_n):
+    """The GroundSet of `ground`, refused when a name repeats or it has
+    more than min(max_n, HARD_CAP) elements."""
     gs = ground if isinstance(ground, GroundSet) else GroundSet(ground)
     cap = min(max_n, HARD_CAP)
     if len(gs) > cap:
         raise TooLarge(len(gs), cap)
-    masks = set()
-    for c in circuits:
-        m = gs.mask_of(c)
-        if m == 0:
-            raise MatroidError("the empty set cannot be a circuit")
-        masks.add(m)
-    return _validated(gs, masks)
+    return gs
+
+
+def _circuit_mask(gs, circuit):
+    """The mask of a circuit's elements on gs, refused when one is foreign
+    (the first such) or there are none."""
+    m = gs.mask_of(circuit)
+    if m == 0:
+        raise MatroidError("the empty set cannot be a circuit")
+    return m
 
 
 def _validated(gs, masks):

@@ -3,7 +3,7 @@
 Everything here works from first definitions on tiny inputs: powerset
 scans, permutation search, no library internals, and no bitmasks except
 in laminar_circuit_masks, minimal_sets and first_bijection.  Slow on
-purpose; keep n small.  Seven helpers are exceptions.  forest_deconstruct
+purpose; keep n small.  Eight helpers are exceptions.  forest_deconstruct
 rebuilds deconstruct's script from the circuits; explicit_deconstruct,
 closure_evidence, pair_by_expansion and search_excluded_minor_witness
 keep computations the library no longer makes (explicit_deconstruct is
@@ -12,7 +12,10 @@ and no script got longer; pair_by_expansion is the old pair test, which
 expanded a guessed split's circuits); and greedy_excluded_minor reduces
 a host to a minimal non-laminar minor.  These six are built from the
 library's public calls.  reference_find_minor is the minor search as it ran before
-contractions read their circuits off the dependent sets.
+contractions read their circuits off the dependent sets, and
+reference_parse_ckt is the .ckt line parser as it ran before parse_ckt
+read each line with one match; it reuses the formats module's line
+helpers and tokenizer.
 """
 
 from __future__ import annotations
@@ -521,3 +524,38 @@ def pair_by_expansion(m):
     if LaminarPresentation(m.ground, sides).to_explicit(m.n) != m:
         return None
     return ((f1, r1), (f2, r2), r1 + r2 - m.rank())
+
+
+def reference_parse_ckt(text, max_n=16):
+    """The .ckt line parser that parse_ckt replaced: each line tokenized
+    and checked in turn, every circuit kept as its names and handed to
+    build_matroid, so the first bad line names the error."""
+    from laminarmatroids import ParseError, build_matroid
+    from laminarmatroids.formats import (
+        _TOKEN,
+        _check_rank,
+        _parse_ground,
+        _parse_natural,
+        _parse_set,
+        _significant_lines,
+    )
+
+    lines = _significant_lines(text)
+    ground = _parse_ground(*lines[0])
+    circuits = []
+    asserted_rank = None
+    for lineno, line in lines[1:]:
+        parts = _TOKEN.findall(line)
+        if parts[0] == "circuit":
+            if len(parts) != 2:
+                raise ParseError("circuit takes one set", lineno)
+            circuits.append(_parse_set(parts[1], lineno))
+        elif parts[0] == "rank":
+            if len(parts) != 2:
+                raise ParseError("rank takes one integer", lineno)
+            if asserted_rank is not None:
+                raise ParseError("second rank line", lineno)
+            asserted_rank = (_parse_natural(parts[1], lineno, "rank takes one integer"), lineno)
+        else:
+            raise ParseError(f"unknown directive {parts[0]!r}", lineno)
+    return _check_rank(build_matroid(ground, circuits, max_n=max_n), asserted_rank)

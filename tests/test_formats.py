@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _corpus import named_corpus, random_laminar_presentation, random_script
+from _oracles import reference_parse_ckt
 from laminarmatroids import (
     HARD_CAP,
     ConstructionScript,
@@ -17,6 +18,7 @@ from laminarmatroids import (
     MatroidError,
     ParseError,
     TooLarge,
+    build_matroid,
     canonical_from_matroid,
     canonicalize,
     deconstruct,
@@ -25,8 +27,6 @@ from laminarmatroids import (
     uniform,
 )
 from laminarmatroids.formats import (
-    _parse_ckt_bulk,
-    _parse_ckt_lines,
     parse_ckt,
     parse_lam,
     parse_mbs,
@@ -76,7 +76,7 @@ class TestCkt:
         assert e.value.line == 3
 
     def test_unknown_directive(self):
-        # a line holding only a brace has no tokens at all
+        # a lone brace is a token of its own, and no directive
         for line in ("basis {a}", "{", "}"):
             with pytest.raises(ParseError) as e:
                 parse_ckt(f"ground a b\n{line}\n")
@@ -93,8 +93,10 @@ class TestCkt:
         assert e.value.line == 3
 
     def test_second_rank_line(self):
-        # the first rank line is false, the second true; both orders fail
-        for ranks in ("rank 1\nrank 2", "rank 2\nrank 1", "rank 2\nrank 2"):
+        # the first rank line is false, the second true; both orders fail;
+        # a second rank line is refused before its integer is read
+        seconds = ("rank 2", "rank 1", "rank x", "rank {2}", "rank " + "9" * 5000)
+        for ranks in ("rank 1\nrank 2", *(f"rank 2\n{r}" for r in seconds)):
             with pytest.raises(ParseError, match="second rank line") as e:
                 parse_ckt(f"ground a b c\ncircuit {{a,b,c}}\n{ranks}\n")
             assert e.value.line == 4
@@ -116,10 +118,17 @@ class TestCkt:
         with pytest.raises(TooLarge):
             parse_ckt(text, max_n=12)
 
+    @pytest.mark.parametrize("line", ["circuit {a,b}}", "circuit { {a,b}", "}circuit {a,b}"])
+    def test_stray_brace(self, line):
+        with pytest.raises(ParseError) as e:
+            parse_ckt(f"ground a b c\ncircuit {{c}}\n{line}\n")
+        assert e.value.line == 3
+
 
 class TestCktErrorOrder:
     """A line's ParseError comes before anything the matroid refuses, and
-    the bulk path hands every refusal to the line parser."""
+    the matroid's refusals come in build_matroid's order, in the one pass
+    that reads every line."""
 
     def test_parse_error_before_too_large(self):
         ground = " ".join(f"x{i}" for i in range(14))
@@ -161,6 +170,28 @@ class TestCktErrorOrder:
         with pytest.raises(ParseError) as e:
             parse_ckt("ground a b a\ncircuit {a,b}\nrank x\n")
         assert e.value.line == 3
+
+    @pytest.mark.parametrize(
+        "ground, circuits, max_n, error, message",
+        [
+            # the first refused circuit names the error, empty or foreign
+            ("a b c", [(), ("a", "zz")], 16, MatroidError, "the empty set cannot be a circuit"),
+            ("a b c", [("a", "zz"), ()], 16, ForeignElement, "'zz'"),
+            # a repeated ground name, then the cap, come before any circuit
+            ("a b a", [("a", "zz")], 16, MatroidError, "duplicate element 'a'"),
+            (" ".join(f"x{i}" for i in range(14)), [("x0", "zz")], 12, TooLarge, "14 elements"),
+        ],
+        ids=["empty-first", "foreign-first", "duplicate-ground", "over-cap"],
+    )
+    def test_refusal_order(self, ground, circuits, max_n, error, message):
+        lines = ["circuit {" + ",".join(c) + "}" for c in circuits]
+        text = "\n".join([f"ground {ground}", *lines])
+        with pytest.raises(MatroidError, match=message) as parsed:
+            parse_ckt(text, max_n)
+        assert type(parsed.value) is error
+        with pytest.raises(MatroidError) as built:
+            build_matroid(ground.split(), circuits, max_n)
+        assert (type(parsed.value), str(parsed.value)) == (type(built.value), str(built.value))
 
 
 def _outcome(parse, text, max_n):
@@ -216,28 +247,27 @@ def _mutated(rng, text, elements):
 CKT_HOSTS = named_corpus(n_cap=8)
 
 
-def test_bulk_path_matches_the_line_parser_on_valid_text():
+def test_parse_ckt_matches_the_reference_on_valid_text():
     rng = random.Random(46)
     for m in CKT_HOSTS:
         for _ in range(3):
             text = _ckt_text(rng, m)
-            # valid text never falls through to the line parser
-            assert _parse_ckt_bulk(text, HARD_CAP) == m
-            assert parse_ckt(text) == m == _parse_ckt_lines(text)
+            assert parse_ckt(text) == m == reference_parse_ckt(text)
 
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 10**9))
-def test_bulk_path_matches_the_line_parser_on_mutated_text(seed):
+def test_parse_ckt_matches_the_reference_on_mutated_text(seed):
     """Same matroid, or same error class and text (line number included),
-    as the line parser, also at a cap just under or at the ground's size."""
+    as the reference line parser, also at a cap just under or at the
+    ground's size."""
     rng = random.Random(seed)
     m = rng.choice(CKT_HOSTS)
     text = _ckt_text(rng, m)
     for _ in range(rng.randint(1, 3)):
         text = _mutated(rng, text, m.elements)
     for max_n in (m.n - 1, m.n, HARD_CAP):
-        assert _outcome(parse_ckt, text, max_n) == _outcome(_parse_ckt_lines, text, max_n)
+        assert _outcome(parse_ckt, text, max_n) == _outcome(reference_parse_ckt, text, max_n)
 
 
 class TestLam:
@@ -279,6 +309,12 @@ class TestLam:
             with pytest.raises(ParseError) as e:
                 parse_lam(f"ground a b\n{line}\n")
             assert e.value.line == 2
+
+    @pytest.mark.parametrize("line", ["cap {a,b}} 1", "cap {a,b} 1 }", "cap {a,b} {1"])
+    def test_stray_brace(self, line):
+        with pytest.raises(ParseError) as e:
+            parse_lam(f"ground a b c\ncap {{a,b,c}} 2\n{line}\n")
+        assert e.value.line == 3
 
 
 class TestMbs:

@@ -5,8 +5,9 @@ must be read somewhere in its module, in the package and under `tests/`
 alike.  `__init__.py` and `_backend.py` are skipped, since their imports
 are the package's re-exports.  A
 second walk finds dead helpers: every module-level function, class or
-constant must be named somewhere in the package outside its own
-definition, as a name, an attribute (`K._indices`) or an import.  The
+constant, and every `_`-prefixed method of a module-level class, must be
+named somewhere in the package outside its own definition, as a name,
+an attribute (`K._indices`, `m._dependents()`) or an import.  The
 same walk covers the shared test helpers in `_oracles.py` and
 `_corpus.py`, whose names must be read somewhere under `tests/`.
 """
@@ -57,13 +58,20 @@ def test_no_unused_module_imports(path):
 
 def unreferenced_definitions(sources, owners=None):
     """(module, line, name) of each module-level function, class or
-    constant of the `owners` modules (all by default) that no line of
-    `sources` outside its own definition names; `sources` maps module
-    names to their text, and dunders are skipped."""
+    constant, or private method of a module-level class, of the `owners`
+    modules (all by default) that no line of `sources` outside its own
+    definition names; `sources` maps module names to their text, and
+    dunders are skipped."""
     defined, named = [], []
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body if owners is None or module in owners else ():
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (module, f.lineno, f.end_lineno, f.name)
+                    for f in node.body
+                    if isinstance(f, ast.FunctionDef) and f.name[:1] == "_" and f.name[:2] != "__"
+                ]
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -98,6 +106,18 @@ def test_the_walk_finds_dead_helpers():
         "b.py": "from .a import used\nK.X\n",
     }
     assert unreferenced_definitions(sources) == [("a.py", 5, "dead"), ("a.py", 8, "_Y")]
+
+
+def test_the_walk_finds_dead_private_methods():
+    source = (
+        "class A:\n"
+        "    def _used(self):\n        return 1\n"
+        "    def _dead(self):\n        return self._dead()\n"
+        "    def public(self):\n        pass\n"
+        "    def __init__(self):\n        pass\n"
+        "A()._used\n"
+    )
+    assert unreferenced_definitions({"a.py": source}) == [("a.py", 4, "_dead")]
 
 
 def test_no_dead_module_definitions():
