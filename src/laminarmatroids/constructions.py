@@ -21,14 +21,13 @@ from .errors import (
     EmptyMemberSet,
     NotAChain,
     NotCanonical,
-    TooLarge,
     UndefinedName,
 )
 from .matroid import (
     DESK_CAP,
-    HARD_CAP,
     ExplicitMatroid,
     GroundSet,
+    _check_size,
     build_matroid,
     parallel_connection,
     two_sum,
@@ -51,8 +50,7 @@ def uniform(r, n, names=None):
     names = _default_names(n) if names is None else tuple(names)
     if len(names) != n:
         raise BadParams(f"expected {n} names, got {len(names)}")
-    if n > HARD_CAP:
-        raise TooLarge(n, HARD_CAP)
+    _check_size(n)
     gs = GroundSet(names)
     return ExplicitMatroid._from_masks(gs, K.submasks_of_size(gs.full_mask, r + 1))
 
@@ -238,8 +236,7 @@ def deconstruct(p, max_n=DESK_CAP):
     """
     if not isinstance(p, CanonicalPresentation):
         raise NotCanonical("deconstruct expects a canonical presentation")
-    if p.n > max_n:
-        raise TooLarge(p.n, max_n)
+    _check_size(p.n, max_n)
     steps = []
 
     def emit(op, *args):

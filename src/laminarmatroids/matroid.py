@@ -4,7 +4,9 @@ A matroid is held as its ground set (an ordered tuple of identifier
 strings) plus the family of circuits, encoded internally as bitmasks.
 The ground order doubles as the identifier order used for every
 deterministic output and greedy tie-break.  Ground sets are capped at 16
-elements; construction decides the circuit axioms on one bitmap of the
+elements, and _check_size is the rule's one home: every constructor
+calls it, and so does every exhaustive entry, whose max_n may lower the
+cap.  Construction decides the circuit axioms on one bitmap of the
 2**n subsets, names a violating pair from that test when they fail, and
 keeps the bitmap.  Each matroid holds its dependent sets as one byte per
 subset, kept from validation or built on first use; rank, independence,
@@ -110,6 +112,7 @@ class ExplicitMatroid:
     def __init__(self, ground, masks, _trusted=False):
         if not _trusted:
             raise MatroidError("use build_matroid to construct matroids")
+        _check_size(len(ground))
         self.ground = ground
         self._masks = _sort_masks(masks)
         self._dep = None
@@ -290,13 +293,19 @@ def build_matroid(ground, circuits, max_n=HARD_CAP):
     return _validated(gs, {_circuit_mask(gs, c) for c in circuits})
 
 
+def _check_size(n, max_n=HARD_CAP):
+    """Refuse n elements past min(max_n, HARD_CAP): the one size cap of
+    every constructor and exhaustive computation."""
+    cap = min(max_n, HARD_CAP)
+    if n > cap:
+        raise TooLarge(n, cap)
+
+
 def _capped_ground(ground, max_n):
     """The GroundSet of `ground`, refused when a name repeats or it has
     more than min(max_n, HARD_CAP) elements."""
     gs = ground if isinstance(ground, GroundSet) else GroundSet(ground)
-    cap = min(max_n, HARD_CAP)
-    if len(gs) > cap:
-        raise TooLarge(len(gs), cap)
+    _check_size(len(gs), max_n)
     return gs
 
 
@@ -339,8 +348,6 @@ def direct_sum(m1, m2):
     """Disjoint union; colliding identifiers from the right get primes."""
     renamed = _fresh_names(m1.elements, m2.elements)
     ground = GroundSet(m1.elements + tuple(renamed))
-    if len(ground) > HARD_CAP:
-        raise TooLarge(len(ground), HARD_CAP)
     shift = m1.n
     masks = list(m1._masks) + [c << shift for c in m2._masks]
     return ExplicitMatroid._from_masks(ground, masks)
@@ -366,8 +373,6 @@ def parallel_connection(m1, m2, p1, p2):
     others = m2.ground.full_mask & ~qbit
     names = _fresh_names(m1.elements, m2.ground.tuple_of(others))
     ground = GroundSet(m1.elements + tuple(names))
-    if len(ground) > HARD_CAP:
-        raise TooLarge(len(ground), HARD_CAP)
     left = list(m1._masks)
     right = [
         x << m1.n | (pbit if c & qbit else 0)

@@ -38,13 +38,13 @@ from .errors import (
     NotCanonical,
     NotLaminar,
     RankZero,
-    TooLarge,
 )
 from .matroid import (
     DESK_CAP,
     HARD_CAP,
     ExplicitMatroid,
     GroundSet,
+    _check_size,
     _fresh_names,
     _sort_masks,
 )
@@ -86,8 +86,7 @@ class LaminarPresentation:
         return out
 
     def _build(self, gs, pairs):
-        if len(gs) > HARD_CAP:
-            raise TooLarge(len(gs), HARD_CAP)
+        _check_size(len(gs))
         self.ground = gs
         seen = {}
         for m, cap in pairs:
@@ -279,8 +278,7 @@ class LaminarPresentation:
         (c(A)+1)-subset of A overfilling no member below A, and each such
         subset is a circuit.
         """
-        if self.n > max_n:
-            raise TooLarge(self.n, max_n)
+        _check_size(self.n, max_n)
         return ExplicitMatroid._from_masks(self.ground, list(self._circuit_masks()))
 
     # -- single-element minors ----------------------------------------------
@@ -414,8 +412,7 @@ def canonical_from_matroid(m, max_n=DESK_CAP):
     than the circuit's size.  Only meaningful when m is laminar; the
     caller is responsible for that (or for verifying the result).
     """
-    if m.n > max_n:
-        raise TooLarge(m.n, max_n)
+    _check_size(m.n, max_n)
     loop_mask = m._loop_mask()
     family = {loop_mask: 0} if loop_mask else {}
     for c, closed in zip(m._masks, m._circuit_closures()):
@@ -440,8 +437,7 @@ def canonicalize(p, max_n=DESK_CAP):
     such A_j.  So e is in cl(A) exactly when it lies in the highest
     ancestor of capacity c.
     """
-    if p.n > max_n:
-        raise TooLarge(p.n, max_n)
+    _check_size(p.n, max_n)
     family = {p._loops: 0} if p._loops else {}
     for _, c, closure in p._circuit_tops(p._slot_ranks(p.ground.full_mask)):
         if c:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constructions import excluded_minor, uniform
-from .errors import MatroidError, NotLaminar, TooLarge
-from .matroid import DESK_CAP, has_minor
+from .errors import MatroidError, NotLaminar
+from .matroid import DESK_CAP, HARD_CAP, _check_size, has_minor
 from .presentation import canonical_from_matroid
 
 
@@ -91,11 +91,6 @@ class Classification:
     ternary_laminar: MinorExclusionVerdict
 
 
-def _guard(m, max_n):
-    if m.n > max_n:
-        raise TooLarge(m.n, max_n)
-
-
 def is_laminar(m, max_n=DESK_CAP):
     """Laminarity via the canonical presentation.
 
@@ -106,7 +101,7 @@ def is_laminar(m, max_n=DESK_CAP):
     m, with no pair scan; a "no" scans for the first crossing pair in
     storage order, and finding none is an internal error.
     """
-    _guard(m, max_n)
+    _check_size(m.n, max_n)
     try:
         pres = canonical_from_matroid(m, max_n)
     except NotLaminar:
@@ -130,7 +125,7 @@ def is_laminar(m, max_n=DESK_CAP):
 
 def is_nested(m, max_n=DESK_CAP):
     """Nestedness: the cyclic flats must form a chain under inclusion."""
-    _guard(m, max_n)
+    _check_size(m.n, max_n)
     flats = m.cyclic_flats()
     for i in range(len(flats)):
         for j in range(i + 1, len(flats)):
@@ -157,9 +152,9 @@ def _pair_shape(m):
     return ((proper[0], r1), (proper[1], r2), r1 + r2 - m.rank())
 
 
-def _component_shape(m, block, max_n):
+def _component_shape(m, block):
     sub = m.restrict(block)
-    nv = is_nested(sub, max_n)
+    nv = is_nested(sub, HARD_CAP)
     if nv.nested:
         return ComponentShape(block, "nested", chain=nv.chain)
     pair = _pair_shape(sub)
@@ -169,10 +164,8 @@ def _component_shape(m, block, max_n):
     return ComponentShape(block, "none")
 
 
-def _dual_laminar(m, laminar, max_n):
-    shapes = tuple(
-        _component_shape(m, block, max_n) for block in m.components()
-    )
+def _dual_laminar(m, laminar):
+    shapes = tuple(_component_shape(m, block) for block in m.components())
     if all(s.kind != "none" for s in shapes):
         return DualLaminarVerdict(True, shapes)
     reason = "dual is not laminar" if laminar else "not laminar"
@@ -190,8 +183,7 @@ def classify_dual_laminar(m, max_n=DESK_CAP):
     too.  The components field reports each block's shape; the laminarity
     test only picks the reason a "no" carries.
     """
-    _guard(m, max_n)
-    return _dual_laminar(m, is_laminar(m, max_n), max_n)
+    return _dual_laminar(m, is_laminar(m, max_n))
 
 
 def _exclusion(m, uniforms, laminar):
@@ -258,7 +250,7 @@ def classify(m, max_n=DESK_CAP):
     return Classification(
         nested=nested,
         laminar=laminar,
-        dual_laminar=_dual_laminar(m, laminar, max_n),
+        dual_laminar=_dual_laminar(m, laminar),
         binary_laminar=binary,
         ternary_laminar=ternary,
     )

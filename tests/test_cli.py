@@ -19,6 +19,12 @@ U24_CKT = render_ckt(uniform(2, 4, ("a", "b", "c", "d")))
 CHAIN_LAM = "ground a b c d\ncap {a,b} 1\ncap {a,b,c,d} 2\n"
 FOREST_LAM = "ground a b c d e f g\ncap {a,b,c} 2\ncap {d,e} 1\ncap {f} 0\n"
 INFLATED_LAM = "ground a b c d\ncap {a,b} 1\ncap {a,b,c} 2\ncap {a,b,c,d} 2\n"
+# 13 elements: one past the default cap
+BIG_CKT = render_ckt(direct_sum(excluded_minor(3), uniform(3, 8)))
+BIG_LAM = (
+    "ground e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13\n"
+    "cap {e1,e2,e3,e4} 1\ncap {e1,e2,e3,e4,e5,e6,e7,e8,e9} 3\n"
+)
 TRIANGLE_MBS = "m1 = empty\nm2 = coloop m1 a\nm3 = coloop m2 b\nm4 = coloop m3 c\nm5 = truncate m4\nresult m5\n"
 
 
@@ -272,6 +278,16 @@ class TestSizeCap:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "command, name, text",
+        [(c, "big.ckt", BIG_CKT) for c in ("is-laminar", "classify", "witness", "minor")]
+        + [(c, "big.lam", BIG_LAM) for c in ("canon", "explicit", "deconstruct")],
+    )
+    def test_every_capped_command_refuses_past_max_n(self, files, capsys, command, name, text):
+        path = files(name, text)
+        assert run(capsys, command, path) == (3, "", "error: ground set has 13 elements, cap is 12\n")
+        code, out, err = run(capsys, command, path, "--max-n", "13")
+        assert code in (0, 1) and out and not err
 
     def test_dense_sixteen_element_ckt_validates(self, files, capsys):
         path = files("u8_16.ckt", render_ckt(uniform(8, 16)))

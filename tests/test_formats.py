@@ -180,8 +180,10 @@ class TestCktErrorOrder:
             # a repeated ground name, then the cap, come before any circuit
             ("a b a", [("a", "zz")], 16, MatroidError, "duplicate element 'a'"),
             (" ".join(f"x{i}" for i in range(14)), [("x0", "zz")], 12, TooLarge, "14 elements"),
+            # a max_n past HARD_CAP is clamped to it, still ahead of the circuits
+            (" ".join(f"x{i}" for i in range(17)), [("x0", "zz")], 20, TooLarge, "17 elements, cap is 16"),
         ],
-        ids=["empty-first", "foreign-first", "duplicate-ground", "over-cap"],
+        ids=["empty-first", "foreign-first", "duplicate-ground", "over-cap", "over-hard-cap"],
     )
     def test_refusal_order(self, ground, circuits, max_n, error, message):
         lines = ["circuit {" + ",".join(c) + "}" for c in circuits]

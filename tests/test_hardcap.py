@@ -6,6 +6,9 @@ match the one read off its circuits, and the script deconstruct emits
 must rebuild the same circuits on the same elements.  Each non-laminar
 host must reduce to an excluded minor em(r), and the witness command
 must find one with --max-n 16.
+
+Every entry that takes max_n, and every builder, must refuse a ground
+past its cap with the same TooLarge text.
 """
 
 from __future__ import annotations
@@ -20,12 +23,28 @@ from _corpus import inflate, non_laminar_hosts, random_laminar_presentation
 from laminarmatroids import (
     HARD_CAP,
     LaminarPresentation,
+    TooLarge,
+    binary_component,
+    build_matroid,
     canonical_from_matroid,
     canonicalize,
+    circuit,
+    classify,
+    classify_binary_laminar,
+    classify_dual_laminar,
+    classify_ternary_laminar,
     deconstruct,
+    direct_sum,
     excluded_minor,
+    excluded_minor_witness,
+    free,
     is_isomorphic,
+    is_laminar,
+    is_nested,
+    parallel_connection,
     run_script,
+    two_sum,
+    uniform,
 )
 from laminarmatroids.cli import main
 from laminarmatroids.formats import parse_ckt, render_ckt
@@ -118,3 +137,79 @@ def test_witness_at_the_hard_cap(tmp_path, capsys):
         ranks.add(r)
     assert ranks == {3, 4, 5, 6}
     assert below_greedy == {19, 37}
+
+
+# -- size-cap refusals --------------------------------------------------------
+#
+# Every public entry that takes max_n refuses a ground of n elements exactly
+# when n > min(max_n, HARD_CAP), with TooLarge(n, that cap); every builder
+# refuses a result past HARD_CAP itself.
+
+HOST13 = direct_sum(excluded_minor(3), uniform(3, 8))
+PRES13 = LaminarPresentation(
+    [f"e{i}" for i in range(1, 14)],
+    {frozenset(f"e{i}" for i in range(1, 5)): 1, frozenset(f"e{i}" for i in range(1, 10)): 3},
+)
+CKT13 = render_ckt(HOST13)
+
+CAPPED_ENTRIES = {
+    "is_laminar": lambda cap: is_laminar(HOST13, cap),
+    "is_nested": lambda cap: is_nested(HOST13, cap),
+    "classify": lambda cap: classify(HOST13, cap),
+    "classify_dual_laminar": lambda cap: classify_dual_laminar(HOST13, cap),
+    "classify_binary_laminar": lambda cap: classify_binary_laminar(HOST13, cap),
+    "classify_ternary_laminar": lambda cap: classify_ternary_laminar(HOST13, cap),
+    "excluded_minor_witness": lambda cap: excluded_minor_witness(HOST13, cap),
+    "canonical_from_matroid": lambda cap: canonical_from_matroid(PRES13.to_explicit(HARD_CAP), cap),
+    "canonicalize": lambda cap: canonicalize(PRES13, cap),
+    "to_explicit": lambda cap: PRES13.to_explicit(cap),
+    "deconstruct": lambda cap: deconstruct(canonicalize(PRES13, HARD_CAP), cap),
+    "binary_component": lambda cap: binary_component(13, (), cap),
+    "build_matroid": lambda cap: build_matroid(HOST13.elements, HOST13.circuits, cap),
+    "parse_ckt": lambda cap: parse_ckt(CKT13, cap),
+}
+
+
+def refusal(call):
+    """The TooLarge text `call()` raises, or None when it returns."""
+    try:
+        call()
+    except TooLarge as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("cap", [-1, 0, 12, 13, 16, 20])
+@pytest.mark.parametrize("entry", sorted(CAPPED_ENTRIES))
+def test_each_capped_entry_refuses_past_its_cap(entry, cap):
+    n = 13
+    want = f"ground set has {n} elements, cap is {cap}" if cap < n else None
+    assert refusal(lambda: CAPPED_ENTRIES[entry](cap)) == want
+
+
+def _pres(n):
+    ground = [f"e{i}" for i in range(1, n + 1)]
+    return LaminarPresentation(ground, {frozenset(ground[:2]): 1})
+
+
+OVERSIZE_BUILDERS = {
+    "direct_sum": (18, lambda: direct_sum(uniform(2, 9), uniform(2, 9))),
+    "parallel_connection": (17, lambda: parallel_connection(circuit(9), circuit(9), "e1", "e1")),
+    "two_sum": (17, lambda: two_sum(circuit(9), circuit(9), "e1", "e1")),
+    "uniform": (17, lambda: uniform(2, 17)),
+    "circuit": (17, lambda: circuit(17)),
+    "free": (18, lambda: free(18)),
+    "add_coloop": (17, lambda: _pres(16).add_coloop("x")),
+    "LaminarPresentation.direct_sum": (18, lambda: _pres(9).direct_sum(_pres(9))),
+    "LaminarPresentation": (17, lambda: _pres(17)),
+    "parallel_extend": (17, lambda: canonicalize(_pres(16), HARD_CAP).parallel_extend("e1", "x")),
+    "binary_component": (17, lambda: binary_component(16, ("e1",), 20)),
+    "build_matroid": (17, lambda: build_matroid([f"x{i}" for i in range(17)], [], 20)),
+    "parse_ckt": (17, lambda: parse_ckt("ground " + " ".join(f"x{i}" for i in range(17)) + "\n", 20)),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(OVERSIZE_BUILDERS))
+def test_builders_refuse_past_the_hard_cap(builder):
+    n, call = OVERSIZE_BUILDERS[builder]
+    assert refusal(call) == f"ground set has {n} elements, cap is 16"

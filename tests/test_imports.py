@@ -7,9 +7,12 @@ are the package's re-exports.  A
 second walk finds dead helpers: every module-level function, class or
 constant, and every `_`-prefixed method of a module-level class, must be
 named somewhere in the package outside its own definition, as a name,
-an attribute (`K._indices`, `m._dependents()`) or an import.  The
-same walk covers the shared test helpers in `_oracles.py` and
-`_corpus.py`, whose names must be read somewhere under `tests/`.
+an attribute (`K._indices`, `m._dependents()`) or an import; a method
+read off a class by name counts only for that class and its ancestors.
+The same walk covers the shared test helpers in `_oracles.py` and
+`_corpus.py`, whose names must be read somewhere under `tests/`.  A
+third walk keeps the size cap in one place: only `matroid._check_size`
+calls `TooLarge`.
 """
 
 from __future__ import annotations
@@ -56,19 +59,39 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def class_lineage(trees):
+    """Module-level class name -> that class and its ancestors, as far as
+    their bases are module-level classes named in `trees`."""
+    bases = {
+        node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def lineage(name):
+        return {name}.union(*(lineage(b) for b in bases[name] if b in bases))
+
+    return {name: lineage(name) for name in bases}
+
+
 def unreferenced_definitions(sources, owners=None):
     """(module, line, name) of each module-level function, class or
     constant, or private method of a module-level class, of the `owners`
     modules (all by default) that no line of `sources` outside its own
     definition names; `sources` maps module names to their text, and
-    dunders are skipped."""
+    dunders are skipped.  An attribute read off a module-level class
+    (`CanonicalPresentation._from_masks`) credits only the methods of
+    that class and its ancestors; any other (`self._x`, `K._x`) credits
+    every definition of that name."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    lineage = class_lineage(trees.values())
     defined, named = [], []
-    for module, source in sources.items():
-        tree = ast.parse(source)
+    for module, tree in trees.items():
         for node in tree.body if owners is None or module in owners else ():
             if isinstance(node, ast.ClassDef):
                 defined += [
-                    (module, f.lineno, f.end_lineno, f.name)
+                    (module, f.lineno, f.end_lineno, f.name, node.name)
                     for f in node.body
                     if isinstance(f, ast.FunctionDef) and f.name[:1] == "_" and f.name[:2] != "__"
                 ]
@@ -81,20 +104,23 @@ def unreferenced_definitions(sources, owners=None):
                 continue
             for name in names:
                 if not name.startswith("__"):
-                    defined.append((module, node.lineno, node.end_lineno, name))
+                    defined.append((module, node.lineno, node.end_lineno, name, None))
         for n in ast.walk(tree):
             if isinstance(n, ast.Name):
-                named.append((module, n.lineno, n.id))
+                named.append((module, n.lineno, n.id, None))
             elif isinstance(n, ast.Attribute):
-                named.append((module, n.lineno, n.attr))
+                value = n.value.id if isinstance(n.value, ast.Name) else None
+                named.append((module, n.lineno, n.attr, lineage.get(value)))
             elif isinstance(n, ast.ImportFrom):
-                named += [(module, n.lineno, alias.name) for alias in n.names]
+                named += [(module, n.lineno, alias.name, None) for alias in n.names]
     return sorted(
         (module, first, name)
-        for module, first, last, name in defined
+        for module, first, last, name, cls in defined
         if not any(
-            used == name and (where != module or not first <= line <= last)
-            for where, line, used in named
+            used == name
+            and (classes is None or cls in classes)
+            and (where != module or not first <= line <= last)
+            for where, line, used, classes in named
         )
     )
 
@@ -118,6 +144,21 @@ def test_the_walk_finds_dead_private_methods():
         "A()._used\n"
     )
     assert unreferenced_definitions({"a.py": source}) == [("a.py", 4, "_dead")]
+    # a method read off a class credits that class and its ancestors only;
+    # read off anything else, it credits every method of that name
+    source = (
+        "class A:\n"
+        "    def _make(self):\n        pass\n"
+        "    def _shared(self):\n        pass\n"
+        "class B:\n"
+        "    def _make(self):\n        pass\n"
+        "    def _shared(self):\n        pass\n"
+        "class C(A):\n    pass\n"
+        "C._make\n"
+        "m._shared\n"
+        "B\n"
+    )
+    assert unreferenced_definitions({"a.py": source}) == [("a.py", 7, "_make")]
 
 
 def test_no_dead_module_definitions():
@@ -131,3 +172,49 @@ def test_the_walk_keeps_to_its_owners():
 
 def test_no_dead_test_helpers():
     assert unreferenced_definitions(TEST_SOURCES, owners=("_oracles.py", "_corpus.py")) == []
+
+
+def callers(source, callee):
+    """Dotted names of the functions (or "" for module level) whose own
+    bodies call `callee`, by bare name or as an attribute."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == callee:
+                    found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_the_walk_finds_callers():
+    source = (
+        "def f():\n    return [E(1) for _ in ()]\n"
+        "class A:\n    def g(self):\n        def h():\n            raise errors.E(2)\n"
+        "try:\n    E(3)\nexcept E:\n    raise E\n"
+    )
+    assert callers(source, "E") == {"f", "A.g.h", ""}
+
+
+def test_one_home_for_the_size_cap():
+    """TooLarge is raised in matroid._check_size alone; `_capped_ground`
+    is the only other private function that takes a cap."""
+    assert {(m, f) for m, source in SOURCES.items() for f in callers(source, "TooLarge")} == {
+        ("matroid.py", "_check_size")
+    }
+    capped = {
+        (module, node.name)
+        for module, source in SOURCES.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and "max_n" in {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+    }
+    assert capped == {("matroid.py", "_check_size"), ("matroid.py", "_capped_ground")}
