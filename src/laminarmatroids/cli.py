@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success (or a true verdict), 1 false verdict, 2 input or
-usage error, 3 size cap exceeded.  The --max-n option (default 12)
-bounds every exhaustive computation; 16 is the absolute limit.
+Exit codes: 0 success (or a true verdict), 1 false verdict, 2 input or usage
+error, 3 size cap exceeded.  The --max-n option (default 12, at most 16) caps
+the input of every command but construct, maxweight and validate on .lam/.mbs.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def cmd_explicit(args):
 
 def cmd_is_laminar(args):
     m = formats.parse_ckt(_read(args.file), max_n=args.max_n)
-    verdict = is_laminar(m, max_n=args.max_n)
+    verdict = is_laminar(m)
     _print_laminar(m, verdict)
     return EXIT_TRUE if verdict.laminar else EXIT_FALSE
 
@@ -114,7 +114,7 @@ def cmd_minor(args):
 
 def cmd_classify(args):
     m = formats.parse_ckt(_read(args.file), max_n=args.max_n)
-    c = classify(m, max_n=args.max_n)
+    c = classify(m)
     if c.nested.nested:
         print("nested: yes")
         chain = " ".join(formats.render_set(m.ground, f) for f in c.nested.chain)
@@ -163,14 +163,14 @@ def cmd_construct(args):
 
 def cmd_deconstruct(args):
     p = formats.parse_lam(_read(args.file))
-    script = deconstruct(canonicalize(p, max_n=args.max_n), max_n=args.max_n)
+    script = deconstruct(canonicalize(p, max_n=args.max_n))
     print(formats.render_mbs(script), end="")
     return EXIT_TRUE
 
 
 def cmd_witness(args):
     m = formats.parse_ckt(_read(args.file), max_n=args.max_n)
-    found = excluded_minor_witness(m, max_n=args.max_n)
+    found = excluded_minor_witness(m)
     if found is None:
         print("witness: none")
         return EXIT_FALSE

@@ -24,7 +24,6 @@ from .errors import (
     UndefinedName,
 )
 from .matroid import (
-    DESK_CAP,
     ExplicitMatroid,
     GroundSet,
     _check_size,
@@ -217,7 +216,7 @@ def run_script(script):
     return live[script.result]
 
 
-def deconstruct(p, max_n=DESK_CAP):
+def deconstruct(p):
     """Script that rebuilds the matroid of a canonical presentation.
 
     One walk of the family forest, after Fife and Oxley's construction:
@@ -236,7 +235,6 @@ def deconstruct(p, max_n=DESK_CAP):
     """
     if not isinstance(p, CanonicalPresentation):
         raise NotCanonical("deconstruct expects a canonical presentation")
-    _check_size(p.n, max_n)
     steps = []
 
     def emit(op, *args):
@@ -272,7 +270,7 @@ def deconstruct(p, max_n=DESK_CAP):
     return ConstructionScript(steps=tuple(steps), result=result)
 
 
-def binary_component(n, plan=(), max_n=DESK_CAP):
+def binary_component(n, plan=()):
     """A circuit with parallel-extended elements.
 
     `plan` lists elements of the base circuit (e1..en, repeats allowed);
@@ -285,10 +283,10 @@ def binary_component(n, plan=(), max_n=DESK_CAP):
     for b in plan:
         if b not in names:
             raise BadParams(f"plan entry {b!r} is not a base circuit element")
-    pres = canonical_from_matroid(base, max_n)
+    pres = canonical_from_matroid(base)
     for k, b in enumerate(plan, n + 1):
         pres = pres.parallel_extend(b, f"e{k}")
-    return pres.to_explicit(max_n)
+    return pres.to_explicit()
 
 
 def ternary_component(n, k):

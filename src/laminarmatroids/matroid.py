@@ -1,18 +1,18 @@
 """Explicit matroids stored as circuit families over a fixed ground order.
 
-A matroid is held as its ground set (an ordered tuple of identifier
-strings) plus the family of circuits, encoded internally as bitmasks.
-The ground order doubles as the identifier order used for every
-deterministic output and greedy tie-break.  Ground sets are capped at 16
-elements, and _check_size is the rule's one home: every constructor
-calls it, and so does every exhaustive entry, whose max_n may lower the
-cap.  Construction decides the circuit axioms on one bitmap of the
-2**n subsets, names a violating pair from that test when they fail, and
-keeps the bitmap.  Each matroid holds its dependent sets as one byte per
-subset, kept from validation or built on first use; rank, independence,
-closure and minors read it.  Its spanning sets, built from those on first
-use, serve every minor search and the dual.  Element names are decoded only at the API;
-minors renumber circuit masks onto the kept elements with compress.
+A matroid is held as its ground set (an ordered tuple of identifier strings)
+plus the family of circuits, encoded internally as bitmasks.  The ground order
+doubles as the identifier order used for every deterministic output and greedy
+tie-break.  Ground sets are capped at 16 elements by _check_size alone, which
+every constructor calls, and so do the input readers (build_matroid,
+parse_ckt, canonicalize, to_explicit), whose max_n may lower the cap.
+Construction decides the circuit axioms on one bitmap of the 2**n subsets,
+names a violating pair from that test when they fail, and keeps the bitmap.
+Each matroid holds its dependent sets as one byte per subset, kept from
+validation or built on first use; rank, independence, closure and minors read
+it.  Its spanning sets, built from those on first use, serve every minor
+search and the dual.  Element names are decoded only at the API; minors
+renumber circuit masks onto the kept elements with compress.
 """
 
 from __future__ import annotations
@@ -295,7 +295,7 @@ def build_matroid(ground, circuits, max_n=HARD_CAP):
 
 def _check_size(n, max_n=HARD_CAP):
     """Refuse n elements past min(max_n, HARD_CAP): the one size cap of
-    every constructor and exhaustive computation."""
+    every constructor and input reader."""
     cap = min(max_n, HARD_CAP)
     if n > cap:
         raise TooLarge(n, cap)

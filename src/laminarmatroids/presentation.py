@@ -40,7 +40,6 @@ from .errors import (
     RankZero,
 )
 from .matroid import (
-    DESK_CAP,
     HARD_CAP,
     ExplicitMatroid,
     GroundSet,
@@ -271,7 +270,7 @@ class LaminarPresentation:
             x &= ~self._masks[i]
         return x.bit_count() + sum(f[i] for i in self._roots)
 
-    def to_explicit(self, max_n=DESK_CAP):
+    def to_explicit(self, max_n=HARD_CAP):
         """The circuits, read off the family forest; guarded by the size cap.
 
         A circuit C has a least overfilled member A, a top; C is then a
@@ -370,7 +369,7 @@ class CanonicalPresentation(LaminarPresentation):
 
     def __init__(self, ground, caps):
         super().__init__(ground, caps)
-        if canonicalize(self, HARD_CAP) != self:
+        if canonicalize(self) != self:
             raise NotCanonical("the family is not the canonical presentation of its matroid")
 
     @property
@@ -405,14 +404,13 @@ class CanonicalPresentation(LaminarPresentation):
         return CanonicalPresentation._from_masks(gs, pairs)
 
 
-def canonical_from_matroid(m, max_n=DESK_CAP):
+def canonical_from_matroid(m):
     """Canonical presentation of an explicit matroid assumed laminar.
 
     One member per circuit closure minus the loops, at capacity one less
     than the circuit's size.  Only meaningful when m is laminar; the
     caller is responsible for that (or for verifying the result).
     """
-    _check_size(m.n, max_n)
     loop_mask = m._loop_mask()
     family = {loop_mask: 0} if loop_mask else {}
     for c, closed in zip(m._masks, m._circuit_closures()):
@@ -421,7 +419,7 @@ def canonical_from_matroid(m, max_n=DESK_CAP):
     return CanonicalPresentation._from_masks(m.ground, family.items())
 
 
-def canonicalize(p, max_n=DESK_CAP):
+def canonicalize(p, max_n=HARD_CAP):
     """Reduce a presentation to the canonical one for the same matroid.
 
     Read off the family forest, with no circuit enumeration.  The loops

@@ -1,9 +1,9 @@
 """Recognisers for laminar, nested, and related classes, with certificates.
 
-Every positive verdict carries something checkable: a canonical
-presentation that reproduces the matroid, a chain of cyclic flats, or a
-structural decomposition.  Negative verdicts carry a violating circuit
-pair or a concrete minor witness.
+Every positive verdict carries something checkable: a canonical presentation
+that reproduces the matroid, a chain of cyclic flats, or a structural
+decomposition.  Negative verdicts carry a violating circuit pair or a
+concrete minor witness.  No search takes a cap: every matroid has n <= 16.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .constructions import excluded_minor, uniform
 from .errors import MatroidError, NotLaminar
-from .matroid import DESK_CAP, HARD_CAP, _check_size, has_minor
+from .matroid import has_minor
 from .presentation import canonical_from_matroid
 
 
@@ -91,7 +91,7 @@ class Classification:
     ternary_laminar: MinorExclusionVerdict
 
 
-def is_laminar(m, max_n=DESK_CAP):
+def is_laminar(m):
     """Laminarity via the canonical presentation.
 
     A matroid is laminar exactly when every two intersecting non-spanning
@@ -101,12 +101,11 @@ def is_laminar(m, max_n=DESK_CAP):
     m, with no pair scan; a "no" scans for the first crossing pair in
     storage order, and finding none is an internal error.
     """
-    _check_size(m.n, max_n)
     try:
-        pres = canonical_from_matroid(m, max_n)
+        pres = canonical_from_matroid(m)
     except NotLaminar:
         pres = None
-    if pres is not None and pres.to_explicit(max_n) == m:
+    if pres is not None and pres.to_explicit() == m:
         return LaminarVerdict(True, presentation=pres)
     r = m.rank()
     non_spanning = [
@@ -123,9 +122,8 @@ def is_laminar(m, max_n=DESK_CAP):
     raise MatroidError("internal: canonical presentation mismatch")
 
 
-def is_nested(m, max_n=DESK_CAP):
+def is_nested(m):
     """Nestedness: the cyclic flats must form a chain under inclusion."""
-    _check_size(m.n, max_n)
     flats = m.cyclic_flats()
     for i in range(len(flats)):
         for j in range(i + 1, len(flats)):
@@ -154,7 +152,7 @@ def _pair_shape(m):
 
 def _component_shape(m, block):
     sub = m.restrict(block)
-    nv = is_nested(sub, HARD_CAP)
+    nv = is_nested(sub)
     if nv.nested:
         return ComponentShape(block, "nested", chain=nv.chain)
     pair = _pair_shape(sub)
@@ -172,7 +170,7 @@ def _dual_laminar(m, laminar):
     return DualLaminarVerdict(False, shapes, reason=reason)
 
 
-def classify_dual_laminar(m, max_n=DESK_CAP):
+def classify_dual_laminar(m):
     """Both the matroid and its dual laminar?
 
     Decided block by block from the connectivity blocks' shapes: M and M*
@@ -183,7 +181,7 @@ def classify_dual_laminar(m, max_n=DESK_CAP):
     too.  The components field reports each block's shape; the laminarity
     test only picks the reason a "no" carries.
     """
-    return _dual_laminar(m, is_laminar(m, max_n))
+    return _dual_laminar(m, is_laminar(m))
 
 
 def _exclusion(m, uniforms, laminar):
@@ -204,22 +202,22 @@ _BINARY = ((2, 4),)
 _TERNARY = ((2, 5), (3, 5))
 
 
-def classify_binary_laminar(m, max_n=DESK_CAP):
+def classify_binary_laminar(m):
     """Binary and laminar, by excluding U(2,4) and then the rank-3
     excluded minor; the latter is searched for only when is_laminar says
     no, since laminar matroids have no excluded_minor(r) minor (Fife and
     Oxley, "Laminar matroids")."""
-    return _exclusion(m, _BINARY, is_laminar(m, max_n))
+    return _exclusion(m, _BINARY, is_laminar(m))
 
 
-def classify_ternary_laminar(m, max_n=DESK_CAP):
+def classify_ternary_laminar(m):
     """Ternary and laminar, by excluding U(2,5), U(3,5), and then the
     rank-3 excluded minor, which is skipped on laminar hosts as in
     classify_binary_laminar."""
-    return _exclusion(m, _TERNARY, is_laminar(m, max_n))
+    return _exclusion(m, _TERNARY, is_laminar(m))
 
 
-def excluded_minor_witness(m, max_n=DESK_CAP):
+def excluded_minor_witness(m):
     """First (r, witness) with the rank-r excluded minor inside m, or None.
 
     The excluded_minor(r), r >= 3, are the excluded minors of the laminar
@@ -228,7 +226,7 @@ def excluded_minor_witness(m, max_n=DESK_CAP):
     rank from 3 up to (n + 1) // 2 hits: a non-laminar host has some
     excluded_minor(s) minor, and that has 2s - 1 <= n elements.
     """
-    if is_laminar(m, max_n):
+    if is_laminar(m):
         return None
     for r in range(3, (m.n + 1) // 2 + 1):
         w = has_minor(m, excluded_minor(r))
@@ -237,13 +235,13 @@ def excluded_minor_witness(m, max_n=DESK_CAP):
     raise MatroidError("internal: a non-laminar host has no excluded minor")
 
 
-def classify(m, max_n=DESK_CAP):
+def classify(m):
     """All five class verdicts in one record.  Ternary reuses binary's
     verdict unless that found U(2,4), a minor of U(2,5) and of U(3,5)
     (delete or contract a point): without it both uniform searches miss
     and the excluded-minor search repeats binary's, witness and all."""
-    nested = is_nested(m, max_n)
-    laminar = is_laminar(m, max_n)
+    nested = is_nested(m)
+    laminar = is_laminar(m)
     binary = ternary = _exclusion(m, _BINARY, laminar)
     if binary.found and binary.found[0] == "uniform(2,4)":
         ternary = _exclusion(m, _TERNARY, laminar)

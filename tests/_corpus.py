@@ -195,7 +195,7 @@ def non_laminar_hosts(rng, count, n_min=13, n_max=HARD_CAP):
     """
 
     def script(budget):
-        return run_script(random_script(rng, n_max=budget)).to_explicit(HARD_CAP)
+        return run_script(random_script(rng, n_max=budget)).to_explicit()
 
     out = []
     while len(out) < count:
@@ -222,7 +222,7 @@ def non_laminar_hosts(rng, count, n_min=13, n_max=HARD_CAP):
             for _ in range(rng.randint(0, 2) if join == "pc" else 0):
                 if m.rank():
                     m = m.truncate()
-        if not is_laminar(m, HARD_CAP):
+        if not is_laminar(m):
             out.append(m)
     return out
 

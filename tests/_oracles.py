@@ -366,12 +366,12 @@ def greedy_excluded_minor(m):
     reached, every later M'' has M''\\e and M''/e as their minors, and
     laminarity is minor-closed.
     """
-    from laminarmatroids import HARD_CAP, is_laminar
+    from laminarmatroids import is_laminar
 
     for e in m.elements:
         for side in ("delete", "contract"):
             minor = m.minor(**{side: (e,)})
-            if not is_laminar(minor, HARD_CAP):
+            if not is_laminar(minor):
                 m = minor
                 break
     return m
@@ -424,7 +424,7 @@ def explicit_deconstruct(m):
         blocks = m.components()
         if len(blocks) > 1:
             return dsum_all([walk(m.restrict(b)) for b in blocks])
-        canon = canonical_from_matroid(m, m.n)
+        canon = canonical_from_matroid(m)
         whole = frozenset(m.elements)
         loose = canon.free_part(whole)
         if loose:
@@ -521,7 +521,7 @@ def pair_by_expansion(m):
         return None
     r1, r2 = m.rank(f1), m.rank(f2)
     sides = [(f1, r1), (f2, r2), (whole, m.rank())]
-    if LaminarPresentation(m.ground, sides).to_explicit(m.n) != m:
+    if LaminarPresentation(m.ground, sides).to_explicit() != m:
         return None
     return ((f1, r1), (f2, r2), r1 + r2 - m.rank())
 

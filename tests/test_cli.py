@@ -25,6 +25,11 @@ BIG_LAM = (
     "ground e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13\n"
     "cap {e1,e2,e3,e4} 1\ncap {e1,e2,e3,e4,e5,e6,e7,e8,e9} 3\n"
 )
+BIG_MBS = (
+    "m0 = empty\n"
+    + "".join(f"m{i} = coloop m{i - 1} e{i}\n" for i in range(1, 14))
+    + "m14 = truncate m13\nresult m14\n"
+)
 TRIANGLE_MBS = "m1 = empty\nm2 = coloop m1 a\nm3 = coloop m2 b\nm4 = coloop m3 c\nm5 = truncate m4\nresult m5\n"
 
 
@@ -288,6 +293,22 @@ class TestSizeCap:
         assert run(capsys, command, path) == (3, "", "error: ground set has 13 elements, cap is 12\n")
         code, out, err = run(capsys, command, path, "--max-n", "13")
         assert code in (0, 1) and out and not err
+
+    @pytest.mark.parametrize(
+        "command, name, text, extra",
+        [
+            ("validate", "big.lam", BIG_LAM, ()),
+            ("validate", "big.mbs", BIG_MBS, ()),
+            ("construct", "big.mbs", BIG_MBS, ()),
+            ("maxweight", "big.lam", BIG_LAM, ("-w", "e1=2,e13=1")),
+        ],
+        ids=["validate-lam", "validate-mbs", "construct", "maxweight"],
+    )
+    def test_uncapped_commands_ignore_max_n(self, files, capsys, command, name, text, extra):
+        path = files(name, text)
+        code, out, err = run(capsys, command, path, *extra)
+        assert (code, err) == (0, "") and out
+        assert run(capsys, command, path, *extra, "--max-n", "0") == (0, out, "")
 
     def test_dense_sixteen_element_ckt_validates(self, files, capsys):
         path = files("u8_16.ckt", render_ckt(uniform(8, 16)))

@@ -21,7 +21,7 @@ from laminarmatroids import (
     nested_from_chain,
     run_script,
 )
-from laminarmatroids.matroid import HARD_CAP, ExplicitMatroid
+from laminarmatroids.matroid import ExplicitMatroid
 
 ACCEPTANCE_SEED = 20260814
 
@@ -66,14 +66,14 @@ def members_with_caps(p):
 
 def test_to_explicit_matches_kernel_scan(presentations):
     for p in presentations:
-        assert sorted(p.to_explicit(HARD_CAP)._masks) == sorted(scanned_circuits(p))
+        assert sorted(p.to_explicit()._masks) == sorted(scanned_circuits(p))
 
 
 def test_canonicalize_matches_closure_per_circuit(presentations):
     for p in presentations:
         m = ExplicitMatroid._from_masks(p.ground, scanned_circuits(p))
-        want = canonical_from_matroid(m, HARD_CAP)
-        c = canonicalize(p, HARD_CAP)
+        want = canonical_from_matroid(m)
+        c = canonicalize(p)
         assert c.members == want.members
         assert members_with_caps(c) == members_with_caps(want)
         assert c.evidence == want.evidence == oracle.closure_evidence(m)
@@ -82,8 +82,8 @@ def test_canonicalize_matches_closure_per_circuit(presentations):
 
 def test_deconstruct_matches_explicit_recursion(presentations):
     for p in presentations:
-        script = deconstruct(canonicalize(p, HARD_CAP), HARD_CAP)
-        want = oracle.forest_deconstruct(p.to_explicit(HARD_CAP))
+        script = deconstruct(canonicalize(p))
+        want = oracle.forest_deconstruct(p.to_explicit())
         assert (script.steps, script.result) == want
 
 
@@ -93,11 +93,11 @@ def test_deconstruct_keeps_the_old_script_on_nested_inputs(presentations):
     elsewhere."""
     nested = 0
     for p in presentations:
-        m = p.to_explicit(HARD_CAP)
-        script = deconstruct(canonicalize(p, HARD_CAP), HARD_CAP)
+        m = p.to_explicit()
+        script = deconstruct(canonicalize(p))
         old_steps, old_result = oracle.explicit_deconstruct(m)
         assert len(script.steps) <= len(old_steps)
-        if is_nested(m, HARD_CAP):
+        if is_nested(m):
             nested += 1
             assert (script.steps, script.result) == (old_steps, old_result)
     assert nested == 3429
@@ -108,20 +108,20 @@ def test_dsum_exactly_when_not_nested(presentations):
     Oxley), checked from deconstruct's side."""
     corpus = full_corpus(random.Random(7), 300, n_cap=10)
     hosts = [v.presentation for v in map(is_laminar, corpus) if v]
-    hosts += [canonicalize(p, HARD_CAP) for p in presentations]
+    hosts += [canonicalize(p) for p in presentations]
     for c in hosts:
-        script = deconstruct(c, HARD_CAP)
+        script = deconstruct(c)
         has_dsum = any(step[0] == "dsum" for step in script.steps)
-        assert has_dsum != is_nested(c.to_explicit(HARD_CAP), HARD_CAP).nested
+        assert has_dsum != is_nested(c.to_explicit()).nested
 
 
 def test_dense_sixteen():
     ground = tuple(f"e{i}" for i in range(1, 17))
     p = LaminarPresentation(ground, {frozenset(ground[:10]): 5, frozenset(ground): 8})
-    m = p.to_explicit(16)
+    m = p.to_explicit()
     # 6-subsets of the ten, plus 9-sets with 3 to 5 of them
     assert len(m.circuits) == 210 + 120 + 1260 + 3780
     assert sorted(m._masks) == sorted(scanned_circuits(p))
-    c = canonicalize(p, 16)
+    c = canonicalize(p)
     assert members_with_caps(c) == members_with_caps(p)
-    assert run_script(deconstruct(c, 16)).to_explicit(16) == m
+    assert run_script(deconstruct(c)).to_explicit() == m

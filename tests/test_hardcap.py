@@ -7,8 +7,11 @@ must rebuild the same circuits on the same elements.  Each non-laminar
 host must reduce to an excluded minor em(r), and the witness command
 must find one with --max-n 16.
 
-Every entry that takes max_n, and every builder, must refuse a ground
-past its cap with the same TooLarge text.
+The four readers of input (build_matroid, parse_ckt, canonicalize and
+to_explicit) take max_n and refuse a ground past it, as does every path
+from a reader to an analysis; every builder refuses a ground past 16, all
+with the same TooLarge text.  The analyses take no cap and answer
+13-element inputs.
 """
 
 from __future__ import annotations
@@ -78,14 +81,14 @@ def hardcap_sample(seed=16, count=19):
 
 @pytest.mark.parametrize("p", hardcap_sample(), ids=lambda p: f"n{p.n}-m{len(p.members)}")
 def test_canonical_form_and_script_at_the_hard_cap(p):
-    m = p.to_explicit(HARD_CAP)
-    c = canonicalize(p, HARD_CAP)
-    want = canonical_from_matroid(m, HARD_CAP)
+    m = p.to_explicit()
+    c = canonicalize(p)
+    want = canonical_from_matroid(m)
     assert c == want
     assert c.evidence == want.evidence == oracle.closure_evidence(m)
     assert c.loop_set == want.loop_set
     # the script lists the ground in its own order, so compare name sets
-    rebuilt = run_script(deconstruct(c, HARD_CAP)).to_explicit(HARD_CAP)
+    rebuilt = run_script(deconstruct(c)).to_explicit()
     assert sorted(rebuilt.elements) == sorted(m.elements)
     assert set(rebuilt.circuits) == set(m.circuits)
 
@@ -139,11 +142,14 @@ def test_witness_at_the_hard_cap(tmp_path, capsys):
     assert below_greedy == {19, 37}
 
 
-# -- size-cap refusals --------------------------------------------------------
+# -- size caps ----------------------------------------------------------------
 #
-# Every public entry that takes max_n refuses a ground of n elements exactly
-# when n > min(max_n, HARD_CAP), with TooLarge(n, that cap); every builder
-# refuses a result past HARD_CAP itself.
+# Only the four readers of input take max_n: each refuses a ground of n
+# elements exactly when n > min(max_n, HARD_CAP), with TooLarge(n, that cap).
+# The analyses take no cap, so the refusal table reaches each of them as the
+# CLI does, through the reader that caps its input (a built component is read
+# back as .ckt text); on their own they answer past the CLI's 12-element
+# default.  Every builder refuses a result past HARD_CAP itself.
 
 HOST13 = direct_sum(excluded_minor(3), uniform(3, 8))
 PRES13 = LaminarPresentation(
@@ -153,18 +159,18 @@ PRES13 = LaminarPresentation(
 CKT13 = render_ckt(HOST13)
 
 CAPPED_ENTRIES = {
-    "is_laminar": lambda cap: is_laminar(HOST13, cap),
-    "is_nested": lambda cap: is_nested(HOST13, cap),
-    "classify": lambda cap: classify(HOST13, cap),
-    "classify_dual_laminar": lambda cap: classify_dual_laminar(HOST13, cap),
-    "classify_binary_laminar": lambda cap: classify_binary_laminar(HOST13, cap),
-    "classify_ternary_laminar": lambda cap: classify_ternary_laminar(HOST13, cap),
-    "excluded_minor_witness": lambda cap: excluded_minor_witness(HOST13, cap),
-    "canonical_from_matroid": lambda cap: canonical_from_matroid(PRES13.to_explicit(HARD_CAP), cap),
+    "is_laminar": lambda cap: is_laminar(parse_ckt(CKT13, cap)),
+    "is_nested": lambda cap: is_nested(parse_ckt(CKT13, cap)),
+    "classify": lambda cap: classify(parse_ckt(CKT13, cap)),
+    "classify_dual_laminar": lambda cap: classify_dual_laminar(parse_ckt(CKT13, cap)),
+    "classify_binary_laminar": lambda cap: classify_binary_laminar(parse_ckt(CKT13, cap)),
+    "classify_ternary_laminar": lambda cap: classify_ternary_laminar(parse_ckt(CKT13, cap)),
+    "excluded_minor_witness": lambda cap: excluded_minor_witness(parse_ckt(CKT13, cap)),
+    "canonical_from_matroid": lambda cap: canonical_from_matroid(PRES13.to_explicit(cap)),
     "canonicalize": lambda cap: canonicalize(PRES13, cap),
     "to_explicit": lambda cap: PRES13.to_explicit(cap),
-    "deconstruct": lambda cap: deconstruct(canonicalize(PRES13, HARD_CAP), cap),
-    "binary_component": lambda cap: binary_component(13, (), cap),
+    "deconstruct": lambda cap: deconstruct(canonicalize(PRES13, cap)),
+    "binary_component": lambda cap: parse_ckt(render_ckt(binary_component(13)), cap),
     "build_matroid": lambda cap: build_matroid(HOST13.elements, HOST13.circuits, cap),
     "parse_ckt": lambda cap: parse_ckt(CKT13, cap),
 }
@@ -187,6 +193,44 @@ def test_each_capped_entry_refuses_past_its_cap(entry, cap):
     assert refusal(lambda: CAPPED_ENTRIES[entry](cap)) == want
 
 
+def _verdict_labels(c):
+    return c.dual_laminar.reason, c.binary_laminar.found[0], c.ternary_laminar.found[0]
+
+
+def _witness_rank(m):
+    r, w = excluded_minor_witness(m)
+    assert apply_witness(m, w, excluded_minor(r))
+    return r
+
+
+def _rebuilds(c):
+    return run_script(deconstruct(c)).to_explicit() == c.to_explicit()
+
+
+# Each analysis on the 13-element inputs, with no cap argument, and the
+# verdict it must give; so do the two presentation readers at their default.
+ANSWERS_PAST_DESK_CAP = {
+    "is_laminar": (lambda: bool(is_laminar(HOST13)), False),
+    "is_nested": (lambda: bool(is_nested(HOST13)), False),
+    "classify": (lambda: _verdict_labels(classify(HOST13)), ("not laminar", "uniform(2,4)", "uniform(2,5)")),
+    "classify_dual_laminar": (lambda: classify_dual_laminar(HOST13).reason, "not laminar"),
+    "classify_binary_laminar": (lambda: classify_binary_laminar(HOST13).found[0], "uniform(2,4)"),
+    "classify_ternary_laminar": (lambda: classify_ternary_laminar(HOST13).found[0], "uniform(2,5)"),
+    "excluded_minor_witness": (lambda: _witness_rank(HOST13), 3),
+    "canonical_from_matroid": (lambda: canonical_from_matroid(PRES13.to_explicit()) == PRES13, True),
+    "deconstruct": (lambda: _rebuilds(canonicalize(PRES13)), True),
+    "binary_component": (lambda: binary_component(13).n, 13),
+    "to_explicit": (lambda: len(PRES13.to_explicit().circuits), 51),
+    "canonicalize": (lambda: canonicalize(PRES13) == PRES13, True),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ANSWERS_PAST_DESK_CAP))
+def test_each_analysis_answers_past_the_desk_cap(entry):
+    call, want = ANSWERS_PAST_DESK_CAP[entry]
+    assert call() == want
+
+
 def _pres(n):
     ground = [f"e{i}" for i in range(1, n + 1)]
     return LaminarPresentation(ground, {frozenset(ground[:2]): 1})
@@ -202,8 +246,8 @@ OVERSIZE_BUILDERS = {
     "add_coloop": (17, lambda: _pres(16).add_coloop("x")),
     "LaminarPresentation.direct_sum": (18, lambda: _pres(9).direct_sum(_pres(9))),
     "LaminarPresentation": (17, lambda: _pres(17)),
-    "parallel_extend": (17, lambda: canonicalize(_pres(16), HARD_CAP).parallel_extend("e1", "x")),
-    "binary_component": (17, lambda: binary_component(16, ("e1",), 20)),
+    "parallel_extend": (17, lambda: canonicalize(_pres(16)).parallel_extend("e1", "x")),
+    "binary_component": (17, lambda: binary_component(16, ("e1",))),
     "build_matroid": (17, lambda: build_matroid([f"x{i}" for i in range(17)], [], 20)),
     "parse_ckt": (17, lambda: parse_ckt("ground " + " ".join(f"x{i}" for i in range(17)) + "\n", 20)),
 }

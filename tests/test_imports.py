@@ -12,7 +12,9 @@ read off a class by name counts only for that class and its ancestors.
 The same walk covers the shared test helpers in `_oracles.py` and
 `_corpus.py`, whose names must be read somewhere under `tests/`.  A
 third walk keeps the size cap in one place: only `matroid._check_size`
-calls `TooLarge`.
+calls `TooLarge`, and only the four readers of input (`build_matroid`,
+`parse_ckt`, `canonicalize`, `LaminarPresentation.to_explicit`) take a
+`max_n`, each defaulting to `HARD_CAP`.
 """
 
 from __future__ import annotations
@@ -203,18 +205,50 @@ def test_the_walk_finds_callers():
     assert callers(source, "E") == {"f", "A.g.h", ""}
 
 
+def cap_takers(source):
+    """(dotted name, default) of every function or method with a `max_n`
+    parameter; the default is its source text, or None."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = scope + (child.name,)
+                if isinstance(child, ast.FunctionDef):
+                    a = child.args
+                    positional = a.posonlyargs + a.args
+                    defaults = [None] * (len(positional) - len(a.defaults)) + a.defaults
+                    for arg, default in zip(positional + a.kwonlyargs, defaults + a.kw_defaults):
+                        if arg.arg == "max_n":
+                            found.add((".".join(name), default and ast.unparse(default)))
+                visit(child, name)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_the_walk_finds_cap_takers():
+    source = (
+        "def f(x, max_n=DESK_CAP):\n    pass\n"
+        "class A:\n    def g(self, *, max_n):\n        def h(max_n=16, y=0):\n            pass\n"
+        "def k(x, y=HARD_CAP):\n    pass\n"
+    )
+    assert cap_takers(source) == {("f", "DESK_CAP"), ("A.g", None), ("A.g.h", "16")}
+
+
 def test_one_home_for_the_size_cap():
-    """TooLarge is raised in matroid._check_size alone; `_capped_ground`
-    is the only other private function that takes a cap."""
+    """TooLarge is raised in matroid._check_size alone.  Only the four
+    readers of input take a cap, each defaulting to HARD_CAP, and
+    `_capped_ground` is the only other private function that takes one."""
     assert {(m, f) for m, source in SOURCES.items() for f in callers(source, "TooLarge")} == {
         ("matroid.py", "_check_size")
     }
-    capped = {
-        (module, node.name)
-        for module, source in SOURCES.items()
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.FunctionDef)
-        and node.name.startswith("_")
-        and "max_n" in {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+    capped = {(module,) + taker for module, source in SOURCES.items() for taker in cap_takers(source)}
+    assert capped == {
+        ("matroid.py", "build_matroid", "HARD_CAP"),
+        ("formats.py", "parse_ckt", "HARD_CAP"),
+        ("presentation.py", "canonicalize", "HARD_CAP"),
+        ("presentation.py", "LaminarPresentation.to_explicit", "HARD_CAP"),
+        ("matroid.py", "_check_size", "HARD_CAP"),
+        ("matroid.py", "_capped_ground", None),
     }
-    assert capped == {("matroid.py", "_check_size"), ("matroid.py", "_capped_ground")}

@@ -94,10 +94,10 @@ class TestIsLaminar:
     def test_presentation_failing_a_laminar_host_is_an_internal_error(
         self, monkeypatch, build
     ):
-        def fake(m, max_n):
+        def fake(m):
             if build == "refuse":
                 raise NotLaminar(frozenset("ab"), frozenset("bc"))
-            return canonical_from_matroid(U24, max_n)
+            return canonical_from_matroid(U24)
 
         monkeypatch.setattr(recognize, "canonical_from_matroid", fake)
         with pytest.raises(MatroidError) as caught:
@@ -256,7 +256,7 @@ class TestPairShape:
             for m in hosts:
                 for block in m.components():
                     sub = m.restrict(block)
-                    if is_nested(sub, 16):
+                    if is_nested(sub):
                         continue
                     shape = _pair_shape(sub)
                     assert shape == oracle.pair_by_expansion(sub)
@@ -368,15 +368,15 @@ def searched(monkeypatch):
 class TestLaminarHostsSkipExcludedMinorSearch:
     def test_witness_searches_nothing_at_the_hard_cap(self, searched):
         for m in DENSE_LAMINAR:
-            assert excluded_minor_witness(m, 16) is None
+            assert excluded_minor_witness(m) is None
         assert searched == []
 
     def test_classifiers_search_only_the_uniforms(self, searched):
         # the uniforms miss on MIXED and, but for U(2,4), on DOUBLE_TRIANGLE
         for m in DENSE_LAMINAR + (MIXED, DOUBLE_TRIANGLE):
-            c = classify(m, 16)
-            assert c.binary_laminar == classify_binary_laminar(m, 16)
-            assert c.ternary_laminar == classify_ternary_laminar(m, 16)
+            c = classify(m)
+            assert c.binary_laminar == classify_binary_laminar(m)
+            assert c.ternary_laminar == classify_ternary_laminar(m)
         assert searched
         assert EM3 not in searched
 
@@ -417,10 +417,10 @@ class TestClassifyReusesBinaryVerdict:
         without_u24 = [i for i, m in enumerate(hosts) if has_minor(m, U24) is None]
         assert without_u24 == [14, 27, 36]
         for i in without_u24:
-            c = classify(hosts[i], 16)
+            c = classify(hosts[i])
             assert c.ternary_laminar is c.binary_laminar
-            assert c.binary_laminar == classify_binary_laminar(hosts[i], 16)
-            assert c.ternary_laminar == classify_ternary_laminar(hosts[i], 16)
+            assert c.binary_laminar == classify_binary_laminar(hosts[i])
+            assert c.ternary_laminar == classify_ternary_laminar(hosts[i])
 
 
 class TestClassify:
