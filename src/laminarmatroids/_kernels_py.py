@@ -32,6 +32,7 @@ is dependent in M/X iff it is dependent in M once B is added.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from itertools import combinations
 
 # _LOW[b] and _HIGH[b]: the element indices of byte b as the low and the
@@ -401,6 +402,20 @@ def find_minor(dep, spans, n, circuits, rank, n_target, circuits_target, rank_ta
     bit patterns, then D ascends over bit patterns disjoint from T; the
     bijection maps the kept elements (compressed in ascending index order)
     onto the target.  Independence and circuits read D, spanning R_rank.
+
+    Three rules skip only pairs that cannot present the target, so the
+    first hit is the one the plain loop finds (Oxley, *Matroid Theory*,
+    Ch. 3):
+    - the circuits of M delete D contract T are those of M/T that miss D,
+      and compress keeps sizes, so a T whose M/T has fewer s-circuits
+      than the target, for some size s, is skipped before its D loop;
+    - a kept coloop stays a coloop and a coindependent D holds none, so
+      when every target element lies in a circuit, T holds all of M's
+      coloops;
+    - a kept loop stays a loop and an independent T holds none, so when
+      the target has no loop, D holds all of M's loops.
+    The forced elements are added to subsets of the others; adding a
+    fixed set disjoint from both keeps ascending order.
     """
     t = rank - rank_target
     d = n - n_target - t
@@ -408,11 +423,24 @@ def find_minor(dep, spans, n, circuits, rank, n_target, circuits_target, rank_ta
         return None
     full = (1 << n) - 1
     target_sizes = sorted(c.bit_count() for c in circuits_target)
-    for tm in submasks_of_size(full, t):
+    need = Counter(target_sizes).items()
+    covered = target_covered = 0
+    for c in circuits:
+        covered |= c
+    for c in circuits_target:
+        target_covered |= c
+    coloops = full & ~covered if target_covered == (1 << n_target) - 1 else 0
+    loops = 0 if 1 in target_sizes else sum(c for c in circuits if c.bit_count() == 1)
+    for tm in submasks_of_size(full & ~coloops, t - coloops.bit_count()):
+        tm |= coloops
         if dep[tm]:
             continue
         contracted = minor_circuits(dep, circuits, 0, tm)
-        for dm in submasks_of_size(full & ~tm, d):
+        have = Counter(map(int.bit_count, contracted))
+        if any(have[s] < k for s, k in need):
+            continue
+        for dm in submasks_of_size(full & ~tm & ~loops, d - loops.bit_count()):
+            dm |= loops
             if not spans[full & ~dm]:
                 continue
             cand = [c for c in contracted if not (c & dm)]

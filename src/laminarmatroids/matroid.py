@@ -13,6 +13,10 @@ validation or built on first use; rank, independence, closure and minors read
 it.  Its spanning sets, built from those on first use, serve every minor
 search and the dual.  Element names are decoded only at the API; minors
 renumber circuit masks onto the kept elements with compress.
+has_minor answers a simple connected target with None, before any search,
+when no connectivity block of the host has a simplification large enough
+in size, rank and corank to hold it; it reads only masks: the blocks, the
+elements simplify drops, and ranks off the stored dependent sets.
 """
 
 from __future__ import annotations
@@ -240,11 +244,16 @@ class ExplicitMatroid:
         that is each loop, and each element parallel to a smaller one
         (parallel classes are cliques of 2-circuits, none through a loop).
         """
+        return self._minor(self._parallel_mask(), 0)
+
+    def _parallel_mask(self):
+        """The elements simplify drops: the largest of each circuit of
+        size at most two."""
         drop = 0
         for c in self._masks:
             if c.bit_count() <= 2:
                 drop |= 1 << (c.bit_length() - 1)
-        return self._minor(drop, 0)
+        return drop
 
     def components(self):
         """Partition of the ground into connectivity blocks.
@@ -254,6 +263,10 @@ class ExplicitMatroid:
         meeting circuits; loops and coloops end up in singleton blocks.
         Blocks come in order of their least element.
         """
+        return tuple(self.ground.set_of(b) for b in self._block_masks())
+
+    def _block_masks(self):
+        """The masks of the components() blocks, in the same order."""
         blocks = []
         for c in self._masks:
             rest = []
@@ -268,7 +281,7 @@ class ExplicitMatroid:
             uncovered &= ~b
         blocks += K._bits(uncovered)
         blocks.sort(key=lambda b: b & -b)
-        return tuple(self.ground.set_of(b) for b in blocks)
+        return blocks
 
     def is_connected(self):
         return len(self.components()) <= 1
@@ -426,8 +439,12 @@ def has_minor(m, target):
     coindependent delete set are tried (every minor admits one); pairs
     are scanned in ascending bit-pattern order and the first isomorphism
     found is returned.  The search reads m's stored dependent and spanning
-    sets.
+    sets.  A nonempty simple connected target that no block of m can hold
+    is answered None before the search (see _no_block_fits), which only
+    ever misses there, so every hit is the search's own.
     """
+    if _no_block_fits(m, target):
+        return None
     res = K.find_minor(
         m._dependents(), m._spanning(), m.n, m._masks, m.rank(),
         target.n, target._masks, target.rank(),
@@ -444,6 +461,32 @@ def has_minor(m, target):
         contract=m.ground.set_of(tm),
         mapping=mapping,
     )
+
+
+def _no_block_fits(m, target):
+    """True when the target is nonempty, simple and connected and no block
+    B of m has a simplification si(m|B) with at least the target's size,
+    rank and corank.
+
+    A connected minor of m is a minor of one block, a simple minor of a
+    matroid is a minor of its simplification, and a minor of si(m|B) that
+    contracts an independent T and deletes a coindependent D loses |T|
+    from the rank and |D| from the corank (Oxley, *Matroid Theory*,
+    Ch. 3-4).  The parallel classes and loops of m|B are m's inside B, so
+    si(m|B) is m restricted to B minus m's simplify drops.
+    """
+    n = target.n
+    if not n or any(c.bit_count() <= 2 for c in target._masks) or len(target._block_masks()) > 1:
+        return False
+    r, drop, dep = target.rank(), m._parallel_mask(), m._dependents()
+    for b in m._block_masks():
+        keep = b & ~drop
+        size = keep.bit_count()
+        if size >= n:
+            rank = K.greedy_rank(dep, keep)
+            if rank >= r and size - rank >= n - r:
+                return False
+    return True
 
 
 def apply_witness(m, witness, target):

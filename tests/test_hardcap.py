@@ -53,10 +53,6 @@ from laminarmatroids.cli import main
 from laminarmatroids.formats import parse_ckt, render_ckt
 from laminarmatroids.matroid import MinorWitness, apply_witness
 
-# The hosts of non_laminar_hosts(Random(7), 40) with the slowest witness
-# searches (1-4 s each, against at most about 0.5 s for the others); the
-# other 30 still reach every rank from 3 to 6.
-SLOW_WITNESS_HOSTS = {2, 5, 7, 8, 15, 21, 26, 28, 33, 38}
 WITNESS_LINE = re.compile(r"witness: excluded-minor\((\d+)\) delete \{(.*)\} contract \{(.*)\} map (.*)")
 
 
@@ -117,16 +113,14 @@ def parse_witness(line):
 
 
 def test_witness_at_the_hard_cap(tmp_path, capsys):
-    """The `witness` command with --max-n 16 on 30 hosts of 13-16
+    """The `witness` command with --max-n 16 on all 40 hosts of 13-16
     elements: each printed witness replays against em(r), and r is at
     most the rank of the em(r) the greedy reduction reaches (less on
-    hosts 19 and 37).  The command reads back exactly the host, so its
+    hosts 8, 19 and 37).  The command reads back exactly the host, so its
     search is excluded_minor_witness on the host itself."""
     hosts = non_laminar_hosts(random.Random(7), 40)
     ranks, below_greedy = set(), set()
     for i, m in enumerate(hosts):
-        if i in SLOW_WITNESS_HOSTS:
-            continue
         path = tmp_path / f"h{i}.ckt"
         path.write_text(render_ckt(m))
         assert parse_ckt(path.read_text()) == m
@@ -139,7 +133,7 @@ def test_witness_at_the_hard_cap(tmp_path, capsys):
             below_greedy.add(i)
         ranks.add(r)
     assert ranks == {3, 4, 5, 6}
-    assert below_greedy == {19, 37}
+    assert below_greedy == {8, 19, 37}
 
 
 # -- size caps ----------------------------------------------------------------
