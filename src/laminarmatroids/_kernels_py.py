@@ -42,6 +42,8 @@ _LOW = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
 _HIGH = tuple(tuple(i + 8 for i in t) for t in _LOW)
 _LOW_BITS = tuple(tuple(1 << i for i in t) for t in _LOW)
 _HIGH_BITS = tuple(tuple(1 << i for i in t) for t in _HIGH)
+# _REVERSED[b]: byte b with its bit order reversed.
+_REVERSED = tuple(sum(1 << 7 - i for i in t) for t in _LOW)
 
 
 def _bits(mask):
@@ -58,6 +60,19 @@ def _indices(mask):
     except IndexError:
         rest = _indices(mask >> 16)
         return _LOW[mask & 255] + _HIGH[mask >> 8 & 255] + tuple(i + 16 for i in rest)
+
+
+def _storage_key(mask):
+    """An int that orders nonempty 16-bit masks as their ascending index
+    tuples order lexicographically.
+
+    With r the mask's bits reversed in 16 bits, lower indices are higher
+    bits of r, so a larger r comes first except where one tuple extends
+    the other: the extension adds bits below r's lowest set bit, which
+    stay under r + (r & -r), and popcount breaks the one tie left.
+    """
+    r = _REVERSED[mask & 255] << 8 | _REVERSED[mask >> 8]
+    return mask.bit_count() - r - (r & -r)
 
 
 def submasks_of_size(universe, k):

@@ -34,6 +34,10 @@ from .matroid import (
 from .presentation import (
     CanonicalPresentation,
     LaminarPresentation,
+    _coloop,
+    _dsum,
+    _from_value,
+    _truncate,
     canonical_from_matroid,
 )
 
@@ -184,9 +188,15 @@ class ConstructionScript:
 def run_script(script):
     """Interpret a script into a laminar presentation.
 
+    Each live name holds a raw value (elements, [(mask, capacity)], rank)
+    and each step applies the presentation layer's rule for its op, which
+    tracks the rank: EMPTY is 0, COLOOP adds 1, TRUNCATE subtracts 1 and
+    DSUM adds the two.  Only the result is built into a presentation.
     Operands are consumed; referencing a missing or spent name raises
     UndefinedName, reassignment or a malformed step raises BadParams.
-    TRUNCATE propagates RankZero from the presentation layer.
+    Every other refusal is raised at its step: DuplicateElement or
+    MatroidError for a COLOOP element, RankZero for a TRUNCATE at rank
+    zero, and TooLarge for the step that passes the size cap.
     """
     live = {}
     defined = set()
@@ -202,18 +212,18 @@ def run_script(script):
         if name in defined:
             raise BadParams(f"name {name!r} assigned twice")
         if op == "empty":
-            value = LaminarPresentation(GroundSet(()), {})
+            value = (), [], 0
         elif op == "coloop":
-            value = take(step[2]).add_coloop(step[3])
+            value = _coloop(take(step[2]), step[3])
         elif op == "truncate":
-            value = take(step[2]).truncate()
+            value = _truncate(take(step[2]))
         else:
-            value = take(step[2]).direct_sum(take(step[3]))
+            value = _dsum(take(step[2]), take(step[3]))
         defined.add(name)
         live[name] = value
     if script.result not in live:
         raise UndefinedName(script.result)
-    return live[script.result]
+    return _from_value(live[script.result])
 
 
 def deconstruct(p):

@@ -15,8 +15,9 @@ search and the dual.  Element names are decoded only at the API; minors
 renumber circuit masks onto the kept elements with compress.
 has_minor answers a simple connected target with None, before any search,
 when no connectivity block of the host has a simplification large enough
-in size, rank and corank to hold it; it reads only masks: the blocks, the
-elements simplify drops, and ranks off the stored dependent sets.
+in size, rank and corank to hold it; it reads only masks: the blocks,
+stored on first use, the elements simplify drops, and ranks off the
+stored dependent sets.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ class GroundSet:
         elements = tuple(elements)
         index = {}
         for i, e in enumerate(elements):
-            if not isinstance(e, str) or not e:
-                raise MatroidError(f"bad element identifier {e!r}")
+            _check_identifier(e)
             if e in index:
                 raise MatroidError(f"duplicate element {e!r}")
             index[e] = i
@@ -98,9 +98,16 @@ class GroundSet:
         return (1 << len(self.elements)) - 1
 
 
+def _check_identifier(e):
+    """Refuse an element identifier that is not a nonempty string."""
+    if not isinstance(e, str) or not e:
+        raise MatroidError(f"bad element identifier {e!r}")
+
+
 def _sort_masks(masks):
-    """Storage order: lexicographic on ascending index tuples."""
-    return tuple(sorted(masks, key=K._indices))
+    """Storage order: lexicographic on ascending index tuples, read off
+    one integer key per nonempty mask within the cap."""
+    return tuple(sorted(masks, key=K._storage_key))
 
 
 class ExplicitMatroid:
@@ -111,7 +118,7 @@ class ExplicitMatroid:
     construct one with full axiom validation.
     """
 
-    __slots__ = ("ground", "_masks", "_dep", "_spans", "_cyclic_flats", "_closures")
+    __slots__ = ("ground", "_masks", "_dep", "_spans", "_cyclic_flats", "_closures", "_blocks")
 
     def __init__(self, ground, masks, _trusted=False):
         if not _trusted:
@@ -123,6 +130,7 @@ class ExplicitMatroid:
         self._spans = None
         self._cyclic_flats = None
         self._closures = None
+        self._blocks = None
 
     @classmethod
     def _from_masks(cls, ground, masks):
@@ -266,22 +274,25 @@ class ExplicitMatroid:
         return tuple(self.ground.set_of(b) for b in self._block_masks())
 
     def _block_masks(self):
-        """The masks of the components() blocks, in the same order."""
-        blocks = []
-        for c in self._masks:
-            rest = []
+        """The masks of the components() blocks, in the same order;
+        computed once."""
+        if self._blocks is None:
+            blocks = []
+            for c in self._masks:
+                rest = []
+                for b in blocks:
+                    if b & c:
+                        c |= b
+                    else:
+                        rest.append(b)
+                blocks = rest + [c]
+            uncovered = self.ground.full_mask
             for b in blocks:
-                if b & c:
-                    c |= b
-                else:
-                    rest.append(b)
-            blocks = rest + [c]
-        uncovered = self.ground.full_mask
-        for b in blocks:
-            uncovered &= ~b
-        blocks += K._bits(uncovered)
-        blocks.sort(key=lambda b: b & -b)
-        return blocks
+                uncovered &= ~b
+            blocks += K._bits(uncovered)
+            blocks.sort(key=lambda b: b & -b)
+            self._blocks = tuple(blocks)
+        return self._blocks
 
     def is_connected(self):
         return len(self.components()) <= 1

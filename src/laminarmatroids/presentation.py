@@ -43,6 +43,7 @@ from .matroid import (
     HARD_CAP,
     ExplicitMatroid,
     GroundSet,
+    _check_identifier,
     _check_size,
     _fresh_names,
     _sort_masks,
@@ -215,28 +216,41 @@ class LaminarPresentation:
                 yield i, c, closure
 
     def _circuit_masks(self):
-        """Every circuit once, generated lazily child by child.
+        """Every circuit once, as a list: the (c+1)-subsets of each top
+        that overfill no member below it.
 
-        The subsets of a member's children t, t+1, ... and free part that
-        overfill no member below it come in every size up to _below, the
-        sum of their slot ranks, so a size split is tried only when both
-        the child and the rest of the member can reach their part.
+        fill(i, size, t) lists the size-`size` subsets of slot i's
+        children t, t+1, ... and free part that overfill no member below
+        slot i.  Those come in every size up to _below, the sum of their
+        slot ranks, so a size split j is tried only when child t can reach
+        j and the rest of the member size - j.  A split joins child t's
+        list of size j with the rest's list of size - j, part by part,
+        each part in tail order.  Each list is made once per call, keyed
+        by (slot, size, child index), so a tail shared by many parts and
+        a child list shared by many sizes are built once.
         """
         f = self._slot_ranks(self.ground.full_mask)
+        memo = {}
 
         def fill(i, size, t=0):
-            kids = self._kids[i]
-            if t == len(kids):
-                yield from K.submasks_of_size(self._free[i], size)
-                return
-            k = kids[t]
-            for j in range(max(0, size - self._below(f, i, t + 1)), min(f[k], size) + 1):
-                for part in fill(k, j):
-                    for tail in fill(i, size - j, t + 1):
-                        yield part | tail
+            key = i, size, t
+            out = memo.get(key)
+            if out is None:
+                kids = self._kids[i]
+                if t == len(kids):
+                    out = list(K.submasks_of_size(self._free[i], size))
+                else:
+                    k, out = kids[t], []
+                    for j in range(max(0, size - self._below(f, i, t + 1)), min(f[k], size) + 1):
+                        tails = fill(i, size - j, t + 1)
+                        out += [part | tail for part in fill(k, j) for tail in tails]
+                memo[key] = out
+            return out
 
+        circuits = []
         for i, c, _ in self._circuit_tops(f):
-            yield from fill(i, c + 1)
+            circuits += fill(i, c + 1)
+        return circuits
 
     # -- matroid queries ----------------------------------------------------
 
@@ -278,7 +292,7 @@ class LaminarPresentation:
         subset is a circuit.
         """
         _check_size(self.n, max_n)
-        return ExplicitMatroid._from_masks(self.ground, list(self._circuit_masks()))
+        return ExplicitMatroid._from_masks(self.ground, self._circuit_masks())
 
     # -- single-element minors ----------------------------------------------
 
@@ -304,27 +318,23 @@ class LaminarPresentation:
 
     # -- builders -------------------------------------------------------------
 
+    def _value(self):
+        """This presentation as a raw value of the construction calculus:
+        its elements, its (mask, capacity) pairs and its rank."""
+        pairs = list(zip(self._masks, self._caps))
+        return self.ground.elements, pairs, self._rank_mask(self.ground.full_mask)
+
     def add_coloop(self, e):
         """Append a fresh element subject to no family constraint."""
-        if e in self.ground:
-            raise DuplicateElement(e)
-        gs = GroundSet(self.ground.elements + (e,))
-        return LaminarPresentation._from_masks(gs, zip(self._masks, self._caps))
+        return _from_value(_coloop(self._value(), e))
 
     def truncate(self):
         """Cap the whole ground one below the current rank."""
-        r = self.rank()
-        if r == 0:
-            raise RankZero("cannot truncate a rank-zero presentation")
-        pairs = [*zip(self._masks, self._caps), (self.ground.full_mask, r - 1)]
-        return LaminarPresentation._from_masks(self.ground, pairs)
+        return _from_value(_truncate(self._value()))
 
     def direct_sum(self, other):
         """Side-by-side union; right-hand identifiers get primes on collision."""
-        renamed = _fresh_names(self.ground.elements, other.ground.elements)
-        gs = GroundSet(self.ground.elements + tuple(renamed))
-        right = [(m << self.n, c) for m, c in zip(other._masks, other._caps)]
-        return LaminarPresentation._from_masks(gs, [*zip(self._masks, self._caps), *right])
+        return _from_value(_dsum(self._value(), other._value()))
 
     # -- optimisation -----------------------------------------------------------
 
@@ -402,6 +412,49 @@ class CanonicalPresentation(LaminarPresentation):
         if not any(a & bit and c == 1 for a, c in pairs):
             pairs.append((bit | fbit, 1))
         return CanonicalPresentation._from_masks(gs, pairs)
+
+
+# The construction calculus on raw values (elements, [(mask, capacity)],
+# rank): a presentation's ground, its members unsorted and possibly
+# repeated, and its rank.  The builder methods and run_script share these
+# rules.  They track the rank, so run_script builds a presentation for its
+# result alone.
+
+
+def _coloop(value, e):
+    """COLOOP: a fresh element in no member; the rank grows by one."""
+    elements, pairs, rank = value
+    if e in elements:
+        raise DuplicateElement(e)
+    _check_identifier(e)
+    _check_size(len(elements) + 1)
+    return elements + (e,), pairs, rank + 1
+
+
+def _truncate(value):
+    """TRUNCATE: the whole ground joins at capacity rank - 1, which is the
+    new rank."""
+    elements, pairs, rank = value
+    if rank == 0:
+        raise RankZero("cannot truncate a rank-zero presentation")
+    return elements, [*pairs, ((1 << len(elements)) - 1, rank - 1)], rank - 1
+
+
+def _dsum(left, right):
+    """DSUM: the right side's masks move past the left's elements, and the
+    ranks add."""
+    (elements, pairs, rank), (right_elements, right_pairs, right_rank) = left, right
+    renamed = _fresh_names(elements, right_elements)
+    _check_size(len(elements) + len(renamed))
+    shift = len(elements)
+    pairs = [*pairs, *((m << shift, c) for m, c in right_pairs)]
+    return elements + tuple(renamed), pairs, rank + right_rank
+
+
+def _from_value(value):
+    """The presentation of a raw value: one _build."""
+    elements, pairs, _ = value
+    return LaminarPresentation._from_masks(GroundSet(elements), pairs)
 
 
 def canonical_from_matroid(m):

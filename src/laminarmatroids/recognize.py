@@ -97,15 +97,16 @@ def is_laminar(m):
     A matroid is laminar exactly when every two intersecting non-spanning
     circuits have nested closures.  Those closures, loops removed, are
     canonical members, so a crossing pair makes the presentation raise
-    NotLaminar.  A "yes" carries the presentation, checked to reproduce
-    m, with no pair scan; a "no" scans for the first crossing pair in
-    storage order, and finding none is an internal error.
+    NotLaminar.  A "yes" carries the presentation, whose circuits on m's
+    ground are checked to be m's, with no pair scan; a "no" scans for the
+    first crossing pair in storage order, and finding none is an internal
+    error.
     """
     try:
         pres = canonical_from_matroid(m)
     except NotLaminar:
         pres = None
-    if pres is not None and pres.to_explicit() == m:
+    if pres is not None and set(pres._circuit_masks()) == set(m._masks):
         return LaminarVerdict(True, presentation=pres)
     r = m.rank()
     non_spanning = [

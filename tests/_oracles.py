@@ -15,7 +15,9 @@ library's public calls.  reference_find_minor is the minor search as it ran befo
 contractions read their circuits off the dependent sets, and
 reference_parse_ckt is the .ckt line parser as it ran before parse_ckt
 read each line with one match; it reuses the formats module's line
-helpers and tokenizer.
+helpers and tokenizer.  reference_run_script is the interpreter that
+built a presentation at every step, and reference_circuit_masks the
+circuit generator that made a fresh generator for every tail.
 """
 
 from __future__ import annotations
@@ -559,3 +561,86 @@ def reference_parse_ckt(text, max_n=16):
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
     return _check_rank(build_matroid(ground, circuits, max_n=max_n), asserted_rank)
+
+
+def reference_run_script(script):
+    """run_script as a chain of builders: every step builds a full
+    presentation, as the builder methods did before they shared the raw
+    value rules, and TRUNCATE reads the rank off the built value."""
+    from laminarmatroids import (
+        BadParams,
+        DuplicateElement,
+        LaminarPresentation,
+        RankZero,
+        UndefinedName,
+    )
+    from laminarmatroids.constructions import _check_step
+    from laminarmatroids.matroid import GroundSet, _fresh_names
+
+    def add_coloop(p, e):
+        if e in p.ground:
+            raise DuplicateElement(e)
+        gs = GroundSet(p.ground.elements + (e,))
+        return LaminarPresentation._from_masks(gs, zip(p._masks, p._caps))
+
+    def truncate(p):
+        r = p.rank()
+        if r == 0:
+            raise RankZero("cannot truncate a rank-zero presentation")
+        pairs = [*zip(p._masks, p._caps), (p.ground.full_mask, r - 1)]
+        return LaminarPresentation._from_masks(p.ground, pairs)
+
+    def direct_sum(p, q):
+        renamed = _fresh_names(p.ground.elements, q.ground.elements)
+        gs = GroundSet(p.ground.elements + tuple(renamed))
+        right = [(m << p.n, c) for m, c in zip(q._masks, q._caps)]
+        return LaminarPresentation._from_masks(gs, [*zip(p._masks, p._caps), *right])
+
+    live = {}
+    defined = set()
+
+    def take(name):
+        if name not in live:
+            raise UndefinedName(name)
+        return live.pop(name)
+
+    for step in script.steps:
+        _check_step(step, BadParams)
+        op, name = step[0], step[1]
+        if name in defined:
+            raise BadParams(f"name {name!r} assigned twice")
+        if op == "empty":
+            value = LaminarPresentation(GroundSet(()), {})
+        elif op == "coloop":
+            value = add_coloop(take(step[2]), step[3])
+        elif op == "truncate":
+            value = truncate(take(step[2]))
+        else:
+            value = direct_sum(take(step[2]), take(step[3]))
+        defined.add(name)
+        live[name] = value
+    if script.result not in live:
+        raise UndefinedName(script.result)
+    return live[script.result]
+
+
+def reference_circuit_masks(p):
+    """The circuit masks of presentation p as _circuit_masks generated
+    them before it memoised its lists: a fresh generator for every tail."""
+    from laminarmatroids._backend import kernels as K
+
+    f = p._slot_ranks(p.ground.full_mask)
+
+    def fill(i, size, t=0):
+        kids = p._kids[i]
+        if t == len(kids):
+            yield from K.submasks_of_size(p._free[i], size)
+            return
+        k = kids[t]
+        for j in range(max(0, size - p._below(f, i, t + 1)), min(f[k], size) + 1):
+            for part in fill(k, j):
+                for tail in fill(i, size - j, t + 1):
+                    yield part | tail
+
+    for i, c, _ in p._circuit_tops(f):
+        yield from fill(i, c + 1)

@@ -11,9 +11,13 @@ from _corpus import random_script
 from laminarmatroids import (
     BadParams,
     ConstructionScript,
+    DuplicateElement,
     EmptyMemberSet,
+    LaminarPresentation,
+    MatroidError,
     NotAChain,
     NotCanonical,
+    RankZero,
     TooLarge,
     UndefinedName,
     binary_component,
@@ -238,6 +242,123 @@ class TestRunScript:
         )
         with pytest.raises(BadParams):
             run_script(s)
+
+
+def outcome(run, script):
+    """The type and value of the presentation a run returns, or the class
+    and text of the MatroidError it raises."""
+    try:
+        p = run(script)
+    except MatroidError as exc:
+        return type(exc), str(exc)
+    return type(p), p
+
+
+def _chain(rng, steps, tag):
+    """Steps that build `tag`0, a chain of coloops; returns its last name."""
+    name = f"{tag}0"
+    steps.append(("empty", name))
+    for k in range(rng.randint(1, 17)):
+        steps.append(("coloop", f"{tag}{k + 1}", name, f"{tag}e{k}"))
+        name = f"{tag}{k + 1}"
+    return name
+
+
+def _fault(rng, steps, at, tag):
+    """Steps to splice in before steps[at], each refused by some step of
+    the calculus, or by a later one that names a consumed operand."""
+    before = [s for s in steps[:at] if len(s) >= 2]
+    src = rng.choice(before)[1] if before else "nowhere"
+    coloops = [s for s in steps[:at] if s[0] == "coloop"]
+    kind = rng.randrange(9)
+    if kind == 0:  # consumed or never defined
+        return [("truncate", f"{tag}t", rng.choice((src, "nowhere")))]
+    if kind == 1:  # assigned twice
+        return [("empty", src)]
+    if kind == 2 and coloops:  # an element the operand already has
+        s = rng.choice(coloops)
+        return [("coloop", f"{tag}d", s[1], s[3])]
+    if kind == 3:  # not a nonempty string
+        return [("coloop", f"{tag}b", src, rng.choice(("", 7, None, ("e",))))]
+    if kind == 4:  # truncations past rank zero, then a bad identifier:
+        # where RankZero comes pins the rank each step tracked
+        out, name = [], src
+        for k in range(rng.randint(1, 5)):
+            out.append(("truncate", f"{tag}r{k}", name))
+            name = f"{tag}r{k}"
+        return out + [("coloop", f"{tag}x", name, 0)]
+    if kind in (5, 6):  # past the size cap, by COLOOP or by DSUM
+        out = []
+        left = _chain(rng, out, f"{tag}L")
+        right = _chain(rng, out, f"{tag}R") if kind == 6 else src
+        return out + [("dsum", f"{tag}s", left, right), ("coloop", f"{tag}c", f"{tag}s", "q")]
+    if kind == 7:  # malformed
+        return [rng.choice((("coloop", f"{tag}m", src), ("grow", f"{tag}m"), ("empty",),
+                            (["empty"], f"{tag}m"), ("dsum", f"{tag}m", src)))]
+    return []
+
+
+def refusing_script(rng):
+    """A random script at n <= 16 with up to three faults spliced in at
+    random steps, and sometimes an undefined result."""
+    script = random_script(rng, n_max=16)
+    steps = list(script.steps)
+    for k in range(rng.randint(0, 3)):
+        at = rng.randint(0, len(steps))
+        steps[at:at] = _fault(rng, steps, at, f"f{k}")
+    result = "nowhere" if rng.random() < 0.05 else script.result
+    return ConstructionScript(steps=tuple(steps), result=result)
+
+
+class TestRunScriptAgainstTheBuilderChain:
+    """run_script carries raw values and builds only its result; the
+    reference builds a presentation at every step."""
+
+    def test_random_scripts_at_the_hard_cap(self):
+        rng = random.Random(53)
+        for _ in range(300):
+            s = random_script(rng, n_max=16)
+            p = run_script(s)
+            assert outcome(oracle.reference_run_script, s) == (LaminarPresentation, p)
+
+    def test_every_refusal_at_its_step(self):
+        rng = random.Random(5353)
+        seen = set()
+        for _ in range(300):
+            s = refusing_script(rng)
+            got = outcome(run_script, s)
+            assert got == outcome(oracle.reference_run_script, s)
+            seen.add(got[1].split()[0] if got[0] is MatroidError else got[0])
+        assert seen == {
+            LaminarPresentation, BadParams, UndefinedName, DuplicateElement, RankZero,
+            TooLarge, "bad",
+        }
+
+    @pytest.mark.parametrize(
+        "element, error", [("e3", DuplicateElement), ("", MatroidError), ("q", TooLarge)]
+    )
+    def test_coloop_refusals_at_the_cap_keep_their_order(self, element, error):
+        steps = [("empty", "m0")] + [("coloop", f"m{k}", f"m{k - 1}", f"e{k}") for k in range(1, 17)]
+        s = ConstructionScript(steps=(*steps, ("coloop", "x", "m16", element)), result="x")
+        got = outcome(run_script, s)
+        assert got[0] is error
+        assert got == outcome(oracle.reference_run_script, s)
+
+    def test_one_build_per_script(self, monkeypatch):
+        builds = []
+        original = LaminarPresentation._build
+
+        def counted(self, gs, pairs):
+            builds.append(len(gs))
+            return original(self, gs, pairs)
+
+        monkeypatch.setattr(LaminarPresentation, "_build", counted)
+        rng = random.Random(530)
+        for _ in range(20):
+            s = random_script(rng, n_max=16)
+            del builds[:]
+            p = run_script(s)
+            assert builds == [p.n]
 
 
 class TestDeconstruct:

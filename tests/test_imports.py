@@ -14,7 +14,9 @@ The same walk covers the shared test helpers in `_oracles.py` and
 third walk keeps the size cap in one place: only `matroid._check_size`
 calls `TooLarge`, and only the four readers of input (`build_matroid`,
 `parse_ckt`, `canonicalize`, `LaminarPresentation.to_explicit`) take a
-`max_n`, each defaulting to `HARD_CAP`.
+`max_n`, each defaulting to `HARD_CAP`.  Last, the kernel module's set
+of public callables is pinned, since `perfbench/tracing.py` times each
+of them as a span.
 """
 
 from __future__ import annotations
@@ -251,4 +253,19 @@ def test_one_home_for_the_size_cap():
         ("presentation.py", "LaminarPresentation.to_explicit", "HARD_CAP"),
         ("matroid.py", "_check_size", "HARD_CAP"),
         ("matroid.py", "_capped_ground", None),
+    }
+
+
+def test_kernel_public_callables_are_pinned():
+    """The benchmark's tracer wraps every public callable of the kernel
+    module as a span; a per-mask helper made public would be timed on
+    every call, so a new public kernel is a deliberate edit here."""
+    from laminarmatroids._backend import kernels
+
+    public = {name for name, value in vars(kernels).items() if callable(value) and name[:1] != "_"}
+    assert public == {
+        "Counter", "combinations", "check_circuits", "closure_mask", "cocircuit_masks",
+        "compress", "cyclic_flat_masks", "dependents", "find_minor", "greedy_rank",
+        "iso_bijection", "minor_circuits", "spanning", "submasks_of_size",
+        "truncation_circuits", "verify_elimination",
     }

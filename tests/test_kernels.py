@@ -95,6 +95,12 @@ def test_bit_decoders_list_every_bit_in_order():
         assert K._bits(x) == tuple(1 << i for i in want)
 
 
+def test_storage_key_orders_as_index_tuples():
+    # descending, so a key that ties two masks cannot pass on sort stability
+    masks = range((1 << 16) - 1, 0, -1)
+    assert sorted(masks, key=K._storage_key) == sorted(masks, key=K._indices)
+
+
 def test_indices_decode_masks_past_the_cap():
     rng = random.Random(SEED)
     for width in (17, 20, 24, 33, 64):

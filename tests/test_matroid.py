@@ -358,6 +358,16 @@ class TestSimplifyComponents:
         m = uniform(3, 3)
         assert m.components() == tuple(frozenset({e}) for e in m.elements)
 
+    def test_blocks_are_found_once_per_matroid(self):
+        """has_minor's block test reads the host's stored blocks, so the up
+        to five searches of one classify find them once."""
+        m = direct_sum(EM3, uniform(2, 4))
+        blocks = m._block_masks()
+        assert [m.ground.set_of(b) for b in blocks] == list(m.components())
+        for t in (uniform(2, 4), uniform(2, 5), uniform(3, 5), EM3):
+            has_minor(m, t)
+        assert m._block_masks() is blocks
+
 
 class TestCyclicFlats:
     def test_u24(self):

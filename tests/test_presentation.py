@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -34,6 +35,7 @@ from laminarmatroids import (
     excluded_minor,
     uniform,
 )
+from laminarmatroids._backend import kernels as K
 
 GROUND4 = ("a", "b", "c", "d")
 CHAIN = LaminarPresentation(GROUND4, {frozenset("ab"): 1, frozenset("abcd"): 2})
@@ -221,6 +223,42 @@ class TestToExplicit:
             ind = oracle.laminar_independent(members_with_caps(p).items())
             want = oracle.brute_circuits(p.elements, ind)
             assert {frozenset(c) for c in p.to_explicit().circuits} == want
+
+
+    def test_circuit_lists_match_the_generator_at_the_hard_cap(self):
+        rng = random.Random(53)
+        for k in range(300):
+            p = random_laminar_presentation(rng, n_max=16)
+            if k % 2:
+                p, _ = inflate(rng, p)
+            assert p._circuit_masks() == list(oracle.reference_circuit_masks(p))
+
+    def test_one_enumeration_per_memo_key(self, monkeypatch):
+        """A list keyed (slot, size, last child index) calls submasks_of_size
+        on the slot's free part, so each (free part, size) pair is asked for
+        at most once per slot with that free part."""
+        calls = Counter()
+        real = K.submasks_of_size
+
+        def counted(universe, k):
+            calls[universe, k] += 1
+            return real(universe, k)
+
+        monkeypatch.setattr(K, "submasks_of_size", counted)
+        rng = random.Random(530)
+        for _ in range(60):
+            p = inflate(rng, random_laminar_presentation(rng, n_max=16))[0]
+            calls.clear()
+            p._circuit_masks()
+            slots = Counter(p._free)
+            assert all(count <= slots[u] for (u, _), count in calls.items())
+        # four 4-blocks at capacity 2 under the whole ground at capacity 6:
+        # the generator made 4 246 calls for the same 3 472 circuits
+        g = [f"e{i}" for i in range(16)]
+        family = {frozenset(g[i : i + 4]): 2 for i in range(0, 16, 4)}
+        calls.clear()
+        assert len(LaminarPresentation(g, {**family, frozenset(g): 6})._circuit_masks()) == 3472
+        assert sum(calls.values()) == 13
 
 
 class TestCanonicalize:
