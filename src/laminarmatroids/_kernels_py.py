@@ -350,61 +350,51 @@ def cyclic_flat_masks(n, dep, closures):
 
 
 def _element_signatures(n, circuits):
-    sigs = []
-    for i in range(n):
-        b = 1 << i
-        sizes = sorted(c.bit_count() for c in circuits if c & b)
-        sigs.append(tuple(sizes))
-    return sigs
+    sizes = [[] for _ in range(n)]
+    for c in circuits:
+        for i in _indices(c):
+            sizes[i].append(c.bit_count())
+    return [tuple(sorted(s)) for s in sizes]
 
 
 def iso_bijection(n1, circuits1, n2, circuits2):
     """Index permutation mapping circuits1 onto circuits2, or None.
 
     Backtracking over element images, pruned by per-element signatures
-    (multiset of sizes of the circuits through the element); a completed
-    circuit must map onto a circuit.  First witness in index order wins.
+    (sizes of the circuits through the element), which also fix the count
+    of circuits of each size.  Each circuit is checked once, when its top
+    (highest element) is placed.  First witness in index order wins.
     """
-    if n1 != n2:
-        return None
-    if len(circuits1) != len(circuits2):
-        return None
-    if sorted(c.bit_count() for c in circuits1) != sorted(c.bit_count() for c in circuits2):
+    if n1 != n2 or len(circuits1) != len(circuits2):
         return None
     n = n1
     sig1 = _element_signatures(n, circuits1)
     sig2 = _element_signatures(n, circuits2)
     if sorted(sig1) != sorted(sig2):
         return None
-    through = [[c for c in circuits1 if c & (1 << i)] for i in range(n)]
+    below = [[] for _ in range(n)]
+    for c in circuits1:
+        *rest, top = _indices(c)
+        below[top].append(rest)
     target = set(circuits2)
-    perm = [-1] * n
+    perm = []
 
-    def place(i, used, assigned):
+    def place(i, used):
         if i == n:
             return True
-        si = sig1[i]
+        images = [sum(1 << perm[k] for k in rest) for rest in below[i]]
         for j in range(n):
             bj = 1 << j
-            if used & bj or sig2[j] != si:
+            if used & bj or sig2[j] != sig1[i]:
                 continue
-            perm[i] = j
-            na = assigned | (1 << i)
-            ok = True
-            for c in through[i]:
-                if c & ~na:
-                    continue
-                if sum(1 << perm[k] for k in _indices(c)) not in target:
-                    ok = False
-                    break
-            if ok and place(i + 1, used | bj, na):
-                return True
-        perm[i] = -1
+            if all(image | bj in target for image in images):
+                perm.append(j)
+                if place(i + 1, used | bj):
+                    return True
+                perm.pop()
         return False
 
-    if place(0, 0, 0):
-        return list(perm)
-    return None
+    return perm if place(0, 0) else None
 
 
 def find_minor(dep, spans, n, circuits, rank, n_target, circuits_target, rank_target):
@@ -417,6 +407,8 @@ def find_minor(dep, spans, n, circuits, rank, n_target, circuits_target, rank_ta
     bit patterns, then D ascends over bit patterns disjoint from T; the
     bijection maps the kept elements (compressed in ascending index order)
     onto the target.  Independence and circuits read D, spanning R_rank.
+    compress keeps sizes, so a D is renumbered and matched only once its
+    kept circuits have the target's count and sizes.
 
     Three rules skip only pairs that cannot present the target, so the
     first hit is the one the plain loop finds (Oxley, *Matroid Theory*,
@@ -459,11 +451,9 @@ def find_minor(dep, spans, n, circuits, rank, n_target, circuits_target, rank_ta
             if not spans[full & ~dm]:
                 continue
             cand = [c for c in contracted if not (c & dm)]
-            if len(cand) != len(circuits_target):
+            if len(cand) != len(target_sizes) or sorted(map(int.bit_count, cand)) != target_sizes:
                 continue
             compressed = compress(cand, full & ~tm & ~dm)
-            if sorted(c.bit_count() for c in compressed) != target_sizes:
-                continue
             perm = iso_bijection(n_target, compressed, n_target, circuits_target)
             if perm is not None:
                 return (dm, tm, perm)

@@ -149,7 +149,7 @@ def nested_from_chain(ground, chain):
     masks = [gs.mask_of(b) for b in chain]
     for prev, cur in zip(masks, masks[1:]):
         if prev & cur != prev:
-            raise NotAChain(gs.set_of(prev), gs.set_of(cur))
+            raise NotAChain(gs.tuple_of(prev), gs.tuple_of(cur))
     caps = {}
     for m in masks:
         caps.setdefault(m, len(caps) + 1)

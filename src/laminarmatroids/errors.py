@@ -3,6 +3,12 @@
 from __future__ import annotations
 
 
+def _shown(items):
+    """`items` as a set display in the order given: {'a', 'b'} or set()."""
+    text = ", ".join(map(repr, items))
+    return f"{{{text}}}" if text else "set()"
+
+
 class MatroidError(Exception):
     """Base class for every domain error raised by this package."""
 
@@ -13,7 +19,7 @@ class NotAnAntichain(MatroidError):
     def __init__(self, small, large):
         self.small = frozenset(small)
         self.large = frozenset(large)
-        super().__init__(f"circuit {set(small)!r} is contained in {set(large)!r}")
+        super().__init__(f"circuit {_shown(small)} is contained in {_shown(large)}")
 
 
 class EliminationFails(MatroidError):
@@ -24,7 +30,7 @@ class EliminationFails(MatroidError):
         self.second = frozenset(second)
         self.element = element
         super().__init__(
-            f"no circuit inside ({set(first)!r} | {set(second)!r}) - {element!r}"
+            f"no circuit inside ({_shown(first)} | {_shown(second)}) - {element!r}"
         )
 
 
@@ -41,7 +47,7 @@ class OverlappingSets(MatroidError):
 
     def __init__(self, overlap):
         self.overlap = frozenset(overlap)
-        super().__init__(f"sets overlap on {set(overlap)!r}")
+        super().__init__(f"sets overlap on {_shown(overlap)}")
 
 
 class RankZero(MatroidError):
@@ -67,7 +73,7 @@ class NotLaminar(MatroidError):
     def __init__(self, first, second):
         self.first = frozenset(first)
         self.second = frozenset(second)
-        super().__init__(f"sets {set(first)!r} and {set(second)!r} cross")
+        super().__init__(f"sets {_shown(first)} and {_shown(second)} cross")
 
 
 class NegativeCapacity(MatroidError):
@@ -76,7 +82,7 @@ class NegativeCapacity(MatroidError):
     def __init__(self, member, value):
         self.member = frozenset(member)
         self.value = value
-        super().__init__(f"capacity {value!r} on {set(member)!r} is negative")
+        super().__init__(f"capacity {value!r} on {_shown(member)} is negative")
 
 
 class EmptyMemberSet(MatroidError):
@@ -118,7 +124,7 @@ class NotAChain(MatroidError):
     def __init__(self, first, second):
         self.first = frozenset(first)
         self.second = frozenset(second)
-        super().__init__(f"chain members {set(first)!r} and {set(second)!r} are incomparable")
+        super().__init__(f"chain members {_shown(first)} and {_shown(second)} are incomparable")
 
 
 class NotCanonical(MatroidError):

@@ -35,6 +35,7 @@ from .errors import (
     RankZero,
     TooLarge,
     TooSmall,
+    _shown,
 )
 
 HARD_CAP = 16
@@ -159,8 +160,8 @@ class ExplicitMatroid:
         return hash((self.ground, self._masks))
 
     def __repr__(self):
-        cs = [set(c) if c else "{}" for c in self.circuits]
-        return f"ExplicitMatroid({list(self.elements)!r}, circuits={cs!r})"
+        cs = ", ".join(_shown(self.ground.tuple_of(m)) for m in self._masks)
+        return f"ExplicitMatroid({list(self.elements)!r}, circuits=[{cs}])"
 
     # -- queries ---------------------------------------------------------
 
@@ -228,7 +229,7 @@ class ExplicitMatroid:
 
     def _minor(self, dm, tm):
         if dm & tm:
-            raise OverlappingSets(self.ground.set_of(dm & tm))
+            raise OverlappingSets(self.ground.tuple_of(dm & tm))
         if not dm | tm:
             return self
         keep = self.ground.full_mask & ~dm & ~tm
@@ -349,7 +350,7 @@ def _validated(gs, masks):
     out._dep, bad = K.check_circuits(out._masks, len(gs))
     if bad is None:
         return out
-    named = [gs.set_of(out._masks[i]) for i in bad[:2]]
+    named = [gs.tuple_of(out._masks[i]) for i in bad[:2]]
     if len(bad) == 2:
         raise NotAnAntichain(*named)
     raise EliminationFails(*named, gs.elements[bad[2]])
@@ -421,7 +422,7 @@ def two_sum(m1, m2, p1, p2):
 
 def is_isomorphic(m1, m2):
     """An element bijection carrying circuits onto circuits, or None."""
-    perm = K.iso_bijection(m1.n, list(m1._masks), m2.n, list(m2._masks))
+    perm = K.iso_bijection(m1.n, m1._masks, m2.n, m2._masks)
     if perm is None:
         return None
     return {m1.elements[i]: m2.elements[j] for i, j in enumerate(perm)}

@@ -38,6 +38,7 @@ from .errors import (
     NotCanonical,
     NotLaminar,
     RankZero,
+    _shown,
 )
 from .matroid import (
     HARD_CAP,
@@ -73,7 +74,7 @@ class LaminarPresentation:
             if not isinstance(cap, int) or isinstance(cap, bool):
                 raise MatroidError(f"capacity {cap!r} is not an integer")
             if cap < 0:
-                raise NegativeCapacity(gs.set_of(m), cap)
+                raise NegativeCapacity(gs.tuple_of(m), cap)
             pairs.append((m, cap))
         self._build(gs, pairs)
 
@@ -108,7 +109,7 @@ class LaminarPresentation:
                     if parents[j] < 0 or a & masks[parents[j]] == a:
                         parents[j] = i
                 else:
-                    raise NotLaminar(gs.set_of(a), gs.set_of(b))
+                    raise NotLaminar(gs.tuple_of(a), gs.tuple_of(b))
         kids = [[] for _ in masks]
         free = list(masks)
         loops = 0
@@ -161,7 +162,7 @@ class LaminarPresentation:
 
     def __repr__(self):
         parts = [
-            f"{set(self.ground.set_of(m))!r}: {c}"
+            f"{_shown(self.ground.tuple_of(m))}: {c}"
             for m, c in zip(self._masks, self._caps)
         ]
         return (
@@ -176,7 +177,7 @@ class LaminarPresentation:
         try:
             return self._slot[m]
         except KeyError:
-            raise MatroidError(f"{set(member)!r} is not a family member") from None
+            raise MatroidError(f"{_shown(self.ground.tuple_of(m))} is not a family member") from None
 
     def children_of(self, member):
         kids = self._kids[self._slot_of(member)]
@@ -514,4 +515,4 @@ def _least_circuit(p, slot):
             chosen = trial
             if chosen.bit_count() == size:
                 return chosen
-    raise NotCanonical(f"member {set(p.ground.set_of(a))!r} spans no circuit of its rank")
+    raise NotCanonical(f"member {_shown(p.ground.tuple_of(a))} spans no circuit of its rank")

@@ -442,3 +442,29 @@ class TestParserBuiltOnce:
             [sys.executable, "-c", code], capture_output=True, text=True, env=ENV, check=True
         )
         assert out.stdout == "0\n"
+
+
+class TestMessagesInGroundOrder:
+    def test_stderr_is_the_same_under_any_hash_seed(self, files):
+        """Error messages name a set's elements in ground order, not in
+        the string-hash order `set(...)` would give, so stderr is the
+        same bytes from one process to the next."""
+        nested = files("nested.ckt", "ground a b c d e\ncircuit {a,b}\ncircuit {a,b,c}\n")
+        broken = files("broken.ckt", "ground a b c d e\ncircuit {a,b}\ncircuit {b,c}\n")
+        crossing = files("crossing.lam", "ground a b c d\ncap {a,b,c} 1\ncap {c,d} 1\n")
+        u24 = files("u24.ckt", U24_CKT)
+        cases = [
+            (["validate", nested], "circuit {'a', 'b'} is contained in {'a', 'b', 'c'}"),
+            (["validate", broken], "no circuit inside ({'a', 'b'} | {'b', 'c'}) - 'b'"),
+            (["canon", crossing], "sets {'a', 'b', 'c'} and {'c', 'd'} cross"),
+            (["minor", u24, "--delete", "d,c", "--contract", "c,d"], "sets overlap on {'c', 'd'}"),
+        ]
+        for argv, message in cases:
+            for seed in ("1", "2"):
+                got = subprocess.run(
+                    [sys.executable, "-m", "laminarmatroids.cli", *argv],
+                    capture_output=True, env={**ENV, "PYTHONHASHSEED": seed}, check=False,
+                )
+                assert (got.returncode, got.stderr) == (2, f"error: {message}\n".encode()), (
+                    argv, seed,
+                )

@@ -14,9 +14,11 @@ The same walk covers the shared test helpers in `_oracles.py` and
 third walk keeps the size cap in one place: only `matroid._check_size`
 calls `TooLarge`, and only the four readers of input (`build_matroid`,
 `parse_ckt`, `canonicalize`, `LaminarPresentation.to_explicit`) take a
-`max_n`, each defaulting to `HARD_CAP`.  Last, the kernel module's set
-of public callables is pinned, since `perfbench/tracing.py` times each
-of them as a span.
+`max_n`, each defaulting to `HARD_CAP`.  A fourth walk finds f-strings
+that format a `set(...)` or `frozenset(...)` call, whose element order
+follows string hashing.  Last, the kernel module's set of public
+callables is pinned, since `perfbench/tracing.py` times each of them as
+a span.
 """
 
 from __future__ import annotations
@@ -254,6 +256,33 @@ def test_one_home_for_the_size_cap():
         ("matroid.py", "_check_size", "HARD_CAP"),
         ("matroid.py", "_capped_ground", None),
     }
+
+
+def formatted_sets(source):
+    """Line numbers of the f-string fields that format a set(...) or
+    frozenset(...) call, whose text follows string hashing."""
+    return sorted(
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.FormattedValue)
+        and isinstance(n.value, ast.Call)
+        and getattr(n.value.func, "id", None) in ("set", "frozenset")
+    )
+
+
+def test_the_walk_finds_formatted_sets():
+    source = (
+        'a = f"{set(x)!r} and {y}"\n'
+        "def f(x):\n    return f'{frozenset(x)}', f'{sorted(set(x))}', set(x)\n"
+        'b = f"{shown(x)}"\n'
+    )
+    assert formatted_sets(source) == [1, 3]
+
+
+def test_messages_format_no_set():
+    """Messages name elements in ground order (errors._shown on a
+    GroundSet.tuple_of), so CLI stderr does not change with the hash seed."""
+    assert {m: formatted_sets(source) for m, source in SOURCES.items()} == {m: [] for m in SOURCES}
 
 
 def test_kernel_public_callables_are_pinned():

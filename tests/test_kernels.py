@@ -403,6 +403,26 @@ def test_iso_bijection_agrees_with_brute_force():
             check_iso(a.n, list(a._masks), list(b._masks))
 
 
+def test_iso_bijection_returns_the_first_bijection(monkeypatch):
+    """check_iso only checks that a returned map is valid; on every pair
+    with n <= 7 that the brute-force test builds, the map is also the
+    lexicographically first one, which find_minor's witnesses rely on."""
+    seen = []
+    real = K.iso_bijection
+
+    def recording(n1, cs1, n2, cs2):
+        got = real(n1, cs1, n2, cs2)
+        seen.append((n1, cs1, cs2, got))
+        return got
+
+    monkeypatch.setattr(K, "iso_bijection", recording)
+    test_iso_bijection_agrees_with_brute_force()
+    small = [(n, cs1, cs2, got) for n, cs1, cs2, got in seen if n <= 7]
+    assert sum(got is not None for *_, got in small) >= 20
+    for n, cs1, cs2, got in small:
+        assert got == oracle.first_bijection(n, cs1, cs2)
+
+
 def test_find_minor_agrees_with_brute_force():
     """find_minor hits exactly when some minor presents the target, and its
     witness is the first pair in loop order: T ascends over independent

@@ -569,23 +569,23 @@ class TestHasMinor:
         assert verdicts == {True: 25, False: 15}
 
     @pytest.mark.parametrize(
-        "host, target, kernel, bound, hit",
+        "host, target, kernel, bound, isos, hit",
         [
-            (direct_sum(uniform(7, 15), free(1)), uniform(2, 4), "minor_circuits", 1, True),
-            (direct_sum(uniform(7, 15), free(1)), uniform(2, 5), "minor_circuits", 1, True),
-            (direct_sum(uniform(7, 15), free(1)), uniform(3, 5), "minor_circuits", 1, True),
-            (direct_sum(excluded_minor(4), uniform(4, 9)), EM3, "compress", 0, False),
-            (direct_sum(uniform(2, 3), uniform(2, 3)), uniform(2, 4), "find_minor", 0, False),
-            (_doubled(uniform(2, 3), "e1", "e2", "e3"), uniform(2, 4), "find_minor", 0, False),
-            (direct_sum(uniform(2, 6), uniform(2, 6)), uniform(3, 5), "find_minor", 0, False),
-            (direct_sum(circuit(5), circuit(5)), EM3, "find_minor", 0, False),
+            (direct_sum(uniform(7, 15), free(1)), uniform(2, 4), "minor_circuits", 1, 1, True),
+            (direct_sum(uniform(7, 15), free(1)), uniform(2, 5), "minor_circuits", 1, 1, True),
+            (direct_sum(uniform(7, 15), free(1)), uniform(3, 5), "minor_circuits", 1, 1, True),
+            (direct_sum(excluded_minor(4), uniform(4, 9)), EM3, "compress", 0, 0, False),
+            (direct_sum(uniform(2, 3), uniform(2, 3)), uniform(2, 4), "find_minor", 0, 0, False),
+            (_doubled(uniform(2, 3), "e1", "e2", "e3"), uniform(2, 4), "find_minor", 0, 0, False),
+            (direct_sum(uniform(2, 6), uniform(2, 6)), uniform(3, 5), "find_minor", 0, 0, False),
+            (direct_sum(circuit(5), circuit(5)), EM3, "find_minor", 0, 0, False),
         ],
         ids=[
             "u715+coloop-u24", "u715+coloop-u25", "u715+coloop-u35", "em4+u49-em3",
             "u23+u23-u24", "doubled-u23-u24", "u26+u26-u35", "u45+u45-em3",
         ],
     )
-    def test_search_effort(self, monkeypatch, host, target, kernel, bound, hit):
+    def test_search_effort(self, monkeypatch, host, target, kernel, bound, isos, hit):
         """Kernel calls per search, pinned because time cannot be: with the
         host's coloop forced into T the first T hits, and every T of em(4) +
         U(4,9) leaves fewer circuits of some size than em(3) has.  The
@@ -593,11 +593,13 @@ class TestHasMinor:
         too small, of too low a rank or of too low a corank for the
         target.  The unpruned loop made 5 006, 5 006 and 3 004
         minor_circuits calls, 438 480 compress calls and one find_minor
-        call per search."""
+        call per search.  `isos` bounds the iso_bijection calls: the
+        size test before compress may skip a D, never add a match."""
         calls = Counter()
-        for name in ("minor_circuits", "compress", "find_minor"):
+        for name in ("minor_circuits", "compress", "find_minor", "iso_bijection"):
             real = getattr(K, name)
             counted = lambda *a, _real=real, _name=name: calls.update([_name]) or _real(*a)
             monkeypatch.setattr(K, name, counted)
         assert (has_minor(host, target) is not None) == hit
         assert calls[kernel] <= bound
+        assert calls["iso_bijection"] <= isos
